@@ -23,6 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -195,19 +196,49 @@ class BionicDB:
     def load_many(self, rows: Iterable[tuple]) -> int:
         """Bulk-load ``(table_id, key, fields)`` triples (timing-free).
 
-        The fast path behind the workload loaders: schema routing is
-        memoised per table and consecutive rows landing in the same
-        partition's index are handed to the pipeline's batched
-        ``bulk_load_many``.  Rows are installed in iteration order, so
-        heap addresses — and with them DRAM channel assignment and all
-        downstream simulated timing — are identical to calling
-        :meth:`load` once per row; a seed-stability test pins that.
+        The fast path behind the workload loaders: each table's routing
+        function and pipelines are looked up once, and consecutive rows
+        landing in the same partition's index are handed to the
+        pipeline's batched ``bulk_load_many``.  Rows are installed in
+        iteration order, so heap addresses — and with them DRAM channel
+        assignment and all downstream simulated timing — are identical
+        to calling :meth:`load` once per row; a seed-stability test pins
+        that.
+
+        The cyclic garbage collector is paused for the duration.  Every
+        row allocates two GC-tracked containers (its record and its
+        field list), so a paper-scale load would otherwise trigger
+        repeated full collections over an ever-growing heap.  None of
+        them can free anything: the rows are acyclic and live as long
+        as the database.  The caller's GC state is restored on return,
+        also when a row is rejected.  A load that allocated at least a
+        full-collection period's worth of objects (the product of the
+        collector's thresholds) ends with one full collection, so the
+        collector books the rows as long-lived now instead of scanning
+        them again during the caller's run.  Nothing is frozen, so the
+        rows of a discarded database are reclaimed as usual.
         """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._load_rows(rows)
+        finally:
+            if was_enabled:
+                # read before enabling: the first allocation afterwards
+                # runs a young collection that resets the count
+                deferred = gc.get_count()[0]
+                t0, t1, t2 = gc.get_threshold()
+                gc.enable()
+                if t0 and deferred >= t0 * t1 * t2:
+                    gc.collect()
+
+    def _load_rows(self, rows: Iterable[tuple]) -> int:
         n_workers = self.config.n_workers
+        #: table_id -> (partition_fn, or None when replicated; pipelines)
         info: Dict[int, tuple] = {}
         batch: List[tuple] = []
         cur_pipe = None
-        cur_key = None
+        cur_w = cur_table = None
         count = 0
         for table_id, key, fields in rows:
             entry = info.get(table_id)
@@ -219,32 +250,32 @@ class BionicDB:
                     pipes = [w.bptree_pipe for w in self.workers]
                 else:
                     pipes = [w.skiplist_pipe for w in self.workers]
-                entry = (schema, pipes)
+                entry = (None if schema.replicated else schema.partition_fn,
+                         pipes)
                 info[table_id] = entry
-            schema, pipes = entry
-            if schema.replicated:
+            route, pipes = entry
+            if route is None:
                 # replicated rows interleave one allocation per worker,
                 # exactly as per-row load() does
                 if batch:
-                    cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
+                    cur_pipe.bulk_load_many(batch, table_id=cur_table)
                     batch = []
-                    cur_pipe = None
-                    cur_key = None
+                    cur_w = None
                 for pipe in pipes:
                     pipe.bulk_load(key, list(fields), table_id=table_id)
             else:
-                w = schema.route(key, n_workers)
-                run = (w, table_id)
-                if run != cur_key:
+                w = route(key, n_workers)
+                if w != cur_w or table_id != cur_table:
                     if batch:
-                        cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
+                        cur_pipe.bulk_load_many(batch, table_id=cur_table)
                         batch = []
-                    cur_key = run
+                    cur_w = w
+                    cur_table = table_id
                     cur_pipe = pipes[w]
                 batch.append((key, fields))
             count += 1
         if batch:
-            cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
+            cur_pipe.bulk_load_many(batch, table_id=cur_table)
         return count
 
     # -- transactions ----------------------------------------------------------

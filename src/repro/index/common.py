@@ -77,14 +77,22 @@ _P7, _P6, _P5, _P4, _P3, _P2, _P1 = (
     71034040046345985, 282287506116799, 4303228801, 65599)
 _INT8_MAX = 1 << 63
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: keys below this have only three non-zero wire bytes
+_INT3_MAX = 1 << 24
 
 
 def _sdbm_int8(key: int) -> int:
     """Closed-form Sdbm for 0 <= key < 2**63 (8-byte wire encoding)."""
-    h = ((key & 0xFF) * _P7 + (key >> 8 & 0xFF) * _P6
-         + (key >> 16 & 0xFF) * _P5 + (key >> 24 & 0xFF) * _P4
-         + (key >> 32 & 0xFF) * _P3 + (key >> 40 & 0xFF) * _P2
-         + (key >> 48 & 0xFF) * _P1 + (key >> 56 & 0xFF)) & _MASK64
+    if key < _INT3_MAX:
+        # the five high-byte terms vanish (every row key of a
+        # paper-scale load takes this branch)
+        h = ((key & 0xFF) * _P7 + (key >> 8 & 0xFF) * _P6
+             + (key >> 16) * _P5) & _MASK64
+    else:
+        h = ((key & 0xFF) * _P7 + (key >> 8 & 0xFF) * _P6
+             + (key >> 16 & 0xFF) * _P5 + (key >> 24 & 0xFF) * _P4
+             + (key >> 32 & 0xFF) * _P3 + (key >> 40 & 0xFF) * _P2
+             + (key >> 48 & 0xFF) * _P1 + (key >> 56 & 0xFF)) & _MASK64
     h ^= h >> 33
     h ^= h >> 17
     return h

@@ -330,10 +330,9 @@ class HashIndexPipeline(PipelineBase):
                 bucket = base + sdbm_hash(key) % n_buckets
             addr = nxt
             nxt += 1
-            cells[addr] = TupleRecord(
-                key=key, fields=list(fields), addr=addr,
-                next_addr=cells.get(bucket) or NULL_ADDR,
-                read_ts=ts, write_ts=ts, dirty=False)
+            # positional: key, fields, addr, next_addr, read_ts, write_ts
+            cells[addr] = TupleRecord(key, list(fields), addr,
+                                      cells.get(bucket) or NULL_ADDR, ts, ts)
             cells[bucket] = addr
             n += 1
         heap._next = nxt

@@ -373,6 +373,58 @@ class SkiplistPipeline(PipelineBase):
         self.tower_count += 1
         return addr
 
+    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
+        """Batched :meth:`bulk_load`: identical towers, links and heap
+        addresses.
+
+        It keeps the tail of every level, the towers a top-down search
+        for a key above every loaded key ends at.  A key above the
+        current largest is appended in O(height) with no search.  Any
+        other key falls back to :meth:`bulk_load`, after which the tails
+        are recomputed before the next append (a tower spliced in below
+        the largest key may have become the tail of its upper levels;
+        the largest key itself is unchanged).  Heights are drawn in row
+        order on both paths."""
+        heap = self._dram.heap
+        head = heap.load(self.head_addr_of(table_id))
+        alloc, store = heap.alloc, heap.store
+        draw_height = self._draw_height
+        tails = self._level_tails(head)
+        last_key = tails[0].key
+        stale = False
+        n = 0
+        for key, fields in rows:
+            if last_key < key:
+                if stale:
+                    tails = self._level_tails(head)
+                    stale = False
+                height = draw_height()
+                addr = alloc()
+                tower = Tower(key, list(fields), height, [NULL_ADDR] * height,
+                              addr, ts, ts)
+                store(addr, tower)
+                for level in range(height):
+                    tails[level].nexts[level] = addr
+                    tails[level] = tower
+                last_key = key
+                self.tower_count += 1
+            else:
+                self.bulk_load(key, fields, ts=ts, table_id=table_id)
+                stale = True
+            n += 1
+        return n
+
+    def _level_tails(self, head: Tower) -> List[Tower]:
+        """The last tower of every level (the head for an empty level)."""
+        heap = self._dram.heap
+        tails: List[Tower] = [head] * self.max_height
+        cur = head
+        for level in range(self.max_height - 1, -1, -1):
+            while cur.nexts[level]:
+                cur = heap.load(cur.nexts[level])
+            tails[level] = cur
+        return tails
+
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[Tower]:
         heap = self._dram.heap
         cur = heap.load(self.head_addr_of(table_id))

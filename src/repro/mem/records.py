@@ -22,7 +22,7 @@ NULL_ADDR = 0
 PAYLOAD_CELL_BYTES = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleRecord:
     """A hash-index tuple: header line with key, fields and CC metadata."""
 
@@ -42,7 +42,7 @@ class TupleRecord:
         return not self.dirty and not self.tombstone and self.write_ts <= ts
 
 
-@dataclass
+@dataclass(slots=True)
 class Tower:
     """A skiplist tower: tuple data plus next-pointers per level.
 

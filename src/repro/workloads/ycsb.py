@@ -102,7 +102,8 @@ class YcsbWorkload:
         per_part = cfg.records_per_partition
 
         def partition_fn(key, n_partitions):
-            return min(key // per_part, n_partitions - 1)
+            part = key // per_part
+            return part if part < n_partitions else n_partitions - 1
 
         buckets = 1 << max(8, (per_part * 2 - 1).bit_length())
         return TableSchema(YCSB_TABLE, "usertable",
@@ -213,9 +214,10 @@ class YcsbWorkload:
         if not load_data:
             return
         # batched fast path; row order (and so heap addresses) matches
-        # per-row db.load exactly
-        payload = cfg.payload
-        db.load_many((YCSB_TABLE, key, [payload])
+        # per-row db.load exactly.  Every row shares one fields tuple:
+        # the loader copies fields into the record.
+        fields = (cfg.payload,)
+        db.load_many((YCSB_TABLE, key, fields)
                      for key in range(cfg.total_records))
 
     # -- block layouts -----------------------------------------------------------

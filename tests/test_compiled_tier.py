@@ -6,15 +6,19 @@ bit-identical ``now_ns``/commit/abort/commit-hash against the
 checked-in goldens, a strictly smaller event count (only no-op
 firings are dropped), interpreter fallback whenever tracing is on or
 the specializer declines a section, and a bulk-load fast path whose
-heap image is cell-for-cell identical to per-row loading.
+heap image is cell-for-cell identical to per-row loading and which
+leaves the caller's GC state as it found it.
 """
 
+import gc
 import json
+import random
 
 import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.isa.builder import ProcedureBuilder
+from repro.mem import IndexKind, TableSchema
 from repro.perf import (
     COMPILED_KEYS,
     GOLDEN_SMOKE,
@@ -34,7 +38,9 @@ from repro.perf.sweep import _merge_into, _point_seed, sweep_main
 from repro.sim.trace import Tracer
 from repro.softcore import SoftcoreConfig
 from repro.softcore.compiled import CompiledTier, compile_procedure
-from repro.workloads import YcsbConfig, YcsbWorkload
+from repro.workloads import (
+    TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
+)
 from repro.workloads.ycsb import YCSB_TABLE
 
 COMPILED = SoftcoreConfig(compiled=True)
@@ -131,6 +137,27 @@ def test_specializer_declines_unknown_table():
 
 # -- bulk-load fast path -----------------------------------------------------
 
+def _per_row_loader(db):
+    """Route ``db.load_many`` through per-row ``db.load``, the reference
+    the batched loaders must reproduce cell for cell."""
+    def load_many(rows):
+        n = 0
+        for table_id, key, fields in rows:
+            db.load(table_id, key, fields)
+            n += 1
+        return n
+    db.load_many = load_many
+    return db
+
+
+def _assert_same_heap_image(fast, slow):
+    assert fast.heap._next == slow.heap._next
+    assert fast.heap.allocated_cells == slow.heap.allocated_cells
+    assert set(fast.heap._cells) == set(slow.heap._cells)
+    for addr, cell in fast.heap._cells.items():
+        assert repr(cell) == repr(slow.heap._cells[addr]), addr
+
+
 def test_load_many_heap_image_matches_per_row_load():
     cfg = YcsbConfig(records_per_partition=400, n_partitions=2,
                      reads_per_txn=2, seed=9)
@@ -144,11 +171,134 @@ def test_load_many_heap_image_matches_per_row_load():
                 db.load(YCSB_TABLE, key, [cfg.payload])
         return db
 
-    fast, slow = build(False), build(True)
-    assert fast.heap._next == slow.heap._next
-    assert set(fast.heap._cells) == set(slow.heap._cells)
-    for addr, cell in fast.heap._cells.items():
-        assert repr(cell) == repr(slow.heap._cells[addr]), addr
+    _assert_same_heap_image(build(False), build(True))
+
+
+def _shuffled(n, seed):
+    keys = list(range(n))
+    random.Random(seed).shuffle(keys)
+    return keys
+
+
+SKIPLIST_KEYS = {
+    "ascending": list(range(300)),
+    "shuffled": _shuffled(300, 5),
+    "descending_then_ascending":
+        list(range(150, 0, -1)) + list(range(151, 300)),
+}
+
+HASH_KEYS = [
+    0, 255, 256, 2**16, 2**24 - 1, 2**24, 2**32, 2**63 - 1,
+    2**63, -1, -256, -2**63, "", "k", "key-2", (1, 2), ("w", 3, 4),
+]
+
+
+def _two_table_db():
+    """A hash table (16 buckets, so chains form) and a skiplist table
+    range-partitioned so that runs of keys share one worker."""
+    db = BionicDB(BionicConfig(n_workers=2))
+    db.define_table(TableSchema(1, "h", hash_buckets=16))
+    db.define_table(TableSchema(
+        2, "s", index_kind=IndexKind.SKIPLIST,
+        partition_fn=lambda key, n: min(key // 200, n - 1),
+        range_partitioned=True))
+    return db
+
+
+def _skiplist_install(order):
+    def install(db):
+        db.load_many((2, key, [key, "v"]) for key in SKIPLIST_KEYS[order])
+    return install
+
+
+def _hash_install(db):
+    db.load_many((1, key, [repr(key)]) for key in HASH_KEYS)
+
+
+def _mixed_install(db):
+    rows = []
+    for i, key in enumerate(SKIPLIST_KEYS["shuffled"]):
+        rows.append((2, key, [key]))
+        if i < len(HASH_KEYS):
+            rows.append((1, HASH_KEYS[i], [i]))
+    db.load_many(rows)
+
+
+def _tpcc_install(db):
+    TpccWorkload(TpccConfig(n_partitions=2, districts_per_warehouse=2,
+                            customers_per_district=20, items=50)).install(db)
+
+
+LOAD_CASES = {
+    **{f"skiplist_{order}": (_two_table_db, _skiplist_install(order))
+       for order in SKIPLIST_KEYS},
+    "hash_boundary_keys": (_two_table_db, _hash_install),
+    "hash_and_skiplist_interleaved": (_two_table_db, _mixed_install),
+    # replicated ITEM rows interleave with the partitioned tables
+    "tpcc": (lambda: BionicDB(BionicConfig(n_workers=2)), _tpcc_install),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_load_many_heap_image_matches_per_row_load_for(case):
+    make_db, install = LOAD_CASES[case]
+    fast, slow = make_db(), _per_row_loader(make_db())
+    install(fast)
+    install(slow)
+    _assert_same_heap_image(fast, slow)
+    for schema in fast.schemas:
+        if schema.index_kind == IndexKind.SKIPLIST:
+            for worker in fast.workers:
+                worker.skiplist_pipe.invariant_check(schema.table_id)
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the process's GC state whatever a test leaves behind."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _skiplist_rows(keys, seen):
+    for key in keys:
+        seen.append(gc.isenabled())
+        yield 2, key, [key]
+
+
+@pytest.mark.parametrize("outcome", ["loaded", "duplicate_key",
+                                     "caller_disabled"])
+def test_load_many_pauses_gc_and_restores_the_callers_state(gc_state,
+                                                            outcome):
+    db = _two_table_db()
+    seen = []
+    if outcome == "caller_disabled":
+        gc.disable()
+    before = gc.isenabled()
+    if outcome == "duplicate_key":
+        with pytest.raises(ValueError, match="duplicate"):
+            db.load_many(_skiplist_rows([1, 2, 3, 2], seen))
+    else:
+        assert db.load_many(_skiplist_rows([3, 1, 2], seen)) == 3
+    assert seen and not any(seen)
+    assert gc.isenabled() == before
+    # nothing is pinned for the life of the process
+    assert gc.get_freeze_count() == 0
+
+
+def test_large_load_settles_deferred_gc_work_in_one_full_pass(gc_state):
+    gc.enable()
+    t0, t1, t2 = gc.get_threshold()
+    n_rows = t0 * t1 * t2  # two tracked allocations per row
+    db = BionicDB(BionicConfig(n_workers=1))
+    db.define_table(TableSchema(1, "h"))
+    full_before = gc.get_stats()[2]["collections"]
+    db.load_many((1, key, [key]) for key in range(n_rows))
+    assert gc.get_stats()[2]["collections"] - full_before == 1
+    assert gc.get_count()[0] < t0
 
 
 # -- sweep runner ------------------------------------------------------------

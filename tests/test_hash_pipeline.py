@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.index.common import DbRequest, sdbm_hash
+from repro.index.common import DbRequest, _sdbm_int8, sdbm_hash
 from repro.index.hash.pipeline import HashIndexPipeline, HashTimings
 from repro.isa import Opcode
 from repro.txn import ResultCode
@@ -38,6 +38,16 @@ class TestSdbmHash:
     def test_spread_over_buckets(self):
         buckets = {sdbm_hash(i) % 256 for i in range(2000)}
         assert len(buckets) > 120  # sdbm gives workable (not perfect) spread
+
+    @pytest.mark.parametrize("key", [
+        0, 1, 255, 256, 2**16 - 1, 2**16, 2**24 - 1, 2**24, 2**32 - 1,
+        2**32, 2**48, 2**56 - 1, 2**56, 2**63 - 1])
+    def test_closed_form_matches_byte_serial_loop(self, key):
+        # bytes keys skip the int fast path: sdbm_hash runs its
+        # byte-serial loop over the very wire form an int key has
+        wire = key.to_bytes(8, "little", signed=True)
+        assert _sdbm_int8(key) == sdbm_hash(wire)
+        assert sdbm_hash(key) == sdbm_hash(wire)
 
 
 class TestInsertSearch:
