@@ -89,7 +89,9 @@ def main(argv=None) -> int:
     parser.add_argument("--check", metavar="BASELINE",
                         help="baseline BENCH_sim.json to regress against")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per bench (best-of, default 3)")
+                        help="timing repeats per bench (best-of for rates, "
+                             "median of interleaved pairs for speedups; "
+                             "default 3)")
     parser.add_argument("--scenario", action="append", default=None,
                         metavar="NAME",
                         help="restrict equivalence/simspeed to this scenario "

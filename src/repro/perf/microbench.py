@@ -22,15 +22,18 @@ collection triggered by heap state accumulated *outside* the bench —
 a long pytest session, a prior CLI invocation — would otherwise land
 inside one engine's timing window and not the other's, and at
 ``--repeats 1`` a single such pause is enough to flip a
-``speedup_vs_reference`` ratio.
+``speedup_vs_reference`` ratio.  For the same reason the two engines
+are timed in interleaved pairs (:func:`paired_timing`) rather than one
+engine's repeats after the other's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import statistics
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from ..sim.clock import ClockDomain
 from ..sim.memory import DramModel, Heap
@@ -38,7 +41,7 @@ from ..sim.sync import Fifo
 from ..sim.engine import Engine
 from .refengine import ReferenceEngine
 
-__all__ = ["run_microbenchmarks", "quiesced_gc"]
+__all__ = ["run_microbenchmarks", "quiesced_gc", "paired_timing"]
 
 
 @contextlib.contextmanager
@@ -54,13 +57,38 @@ def quiesced_gc():
             gc.enable()
 
 
-def _best_of(repeats: int, fn: Callable[[], Dict[str, float]]) -> Dict[str, float]:
-    best = None
-    for _ in range(max(1, repeats)):
-        sample = fn()
-        if best is None or sample["seconds"] < best["seconds"]:
-            best = sample
-    return best
+Sample = Dict[str, float]
+
+
+def paired_timing(repeats: int, fast: Callable[[], Sample],
+                  slow: Callable[[], Sample]) -> Tuple[Sample, Sample, float]:
+    """Time two functions in interleaved pairs; return bests and speedup.
+
+    Each function returns a sample with its timed ``"seconds"``.  Each
+    of the ``repeats`` rounds times both back to back, alternating which
+    goes first.  Returned are each side's fastest sample (the reported
+    host rates) and the median over rounds of ``slow / fast`` seconds
+    (the speedup).  On a shared host the achievable speed drifts in
+    stretches longer than one sample, so a ratio of two independent
+    best-ofs can pair one side's best from a quiet stretch with the
+    other's from a busy one; the two samples of a round share their
+    stretch, and the median drops a round split by a change of pace.
+    """
+    best_fast = best_slow = None
+    ratios = []
+    for i in range(max(1, repeats)):
+        if i % 2:
+            s = slow()
+            f = fast()
+        else:
+            f = fast()
+            s = slow()
+        ratios.append(s["seconds"] / f["seconds"])
+        if best_fast is None or f["seconds"] < best_fast["seconds"]:
+            best_fast = f
+        if best_slow is None or s["seconds"] < best_slow["seconds"]:
+            best_slow = s
+    return best_fast, best_slow, statistics.median(ratios)
 
 
 def _bench_events(engine_factory: Callable, n_yields: int) -> Dict[str, float]:
@@ -139,8 +167,9 @@ def run_microbenchmarks(smoke: bool = False,
     out: Dict[str, Dict[str, object]] = {}
     for name, bench in benches.items():
         n = sizes[name]
-        fast = _best_of(repeats, lambda: bench(Engine, n))
-        ref = _best_of(repeats, lambda: bench(ReferenceEngine, n))
+        fast, ref, speedup = paired_timing(
+            repeats, lambda: bench(Engine, n),
+            lambda: bench(ReferenceEngine, n))
         if fast["events"] != ref["events"] and name == "events":
             # the ticker is pure engine; any event-count drift is a bug
             raise RuntimeError(
@@ -150,7 +179,7 @@ def run_microbenchmarks(smoke: bool = False,
             "n": n,
             "rate_per_sec": fast["rate"],
             "reference_rate_per_sec": ref["rate"],
-            "speedup_vs_reference": fast["rate"] / ref["rate"],
+            "speedup_vs_reference": speedup,
             "events_fired": fast["events"],
         }
     return out

@@ -18,7 +18,9 @@ As in :mod:`repro.perf.microbench`, wall-clock reads only *measure*
 host cost; all simulated behaviour is seeded and deterministic.  Timed
 regions run under :func:`~repro.perf.microbench.quiesced_gc` so a
 cyclic collection owed to heap state from *outside* the bench cannot
-land in one engine's window and skew ``speedup_vs_reference``.
+land in one engine's window and skew ``speedup_vs_reference``, and the
+two sides of every ratio are timed in interleaved pairs
+(:func:`~repro.perf.microbench.paired_timing`).
 """
 
 from __future__ import annotations
@@ -29,51 +31,54 @@ from typing import Callable, Dict, Iterable, Optional
 from ..bench.fig09 import bionicdb_ycsb_tput
 from ..softcore import SoftcoreConfig
 from .equivalence import SETUPS as _SETUPS
-from .microbench import quiesced_gc
+from .microbench import paired_timing, quiesced_gc
 from .refengine import ReferenceEngine
 
 __all__ = ["run_simspeed", "time_compiled_tier"]
 
 
-def _time_scenario(setup: Callable, engine_factory: Optional[Callable],
-                   scale: int, repeats: int) -> Dict[str, float]:
-    best = None
-    fingerprint = None
-    for _ in range(max(1, repeats)):
+def _scenario_sampler(setup: Callable, engine_factory: Optional[Callable],
+                      scale: int) -> Callable[[], Dict[str, float]]:
+    """One timed run phase per call; raises if repeats diverge."""
+    first = []
+
+    def sample() -> Dict[str, float]:
         # fresh setup each repeat: the run phase mutates database state
         _db, run = setup(engine_factory, scale)
         with quiesced_gc():
             t0 = time.perf_counter()   # det: allow(wall-clock)
             fp = run()
             dt = time.perf_counter() - t0   # det: allow(wall-clock)
-        if best is None or dt < best:
-            best = dt
-        if fingerprint is None:
-            fingerprint = fp
-        elif fp != fingerprint:
+        if not first:
+            first.append(fp)
+        elif fp != first[0]:
             raise RuntimeError("scenario is non-deterministic across repeats")
-    return {"host_seconds": best, "sim_ns": fingerprint["now_ns"],
-            "events_fired": fingerprint["events_fired"]}
+        return {"seconds": dt, "sim_ns": fp["now_ns"],
+                "events_fired": fp["events_fired"]}
+
+    return sample
 
 
-def _time_fig09(engine_factory: Optional[Callable], repeats: int,
-                softcore: Optional[SoftcoreConfig] = None) -> Dict[str, float]:
-    best = None
-    tput = None
-    for _ in range(max(1, repeats)):
+def _fig09_sampler(engine_factory: Optional[Callable],
+                   softcore: Optional[SoftcoreConfig] = None
+                   ) -> Callable[[], Dict[str, float]]:
+    """One timed fig09 smoke call per call; raises if repeats diverge."""
+    first = []
+
+    def sample() -> Dict[str, float]:
         with quiesced_gc():
             t0 = time.perf_counter()   # det: allow(wall-clock)
             t = bionicdb_ycsb_tput(2, n_txns=60, records_per_partition=2000,
                                    engine_factory=engine_factory,
                                    softcore=softcore)
             dt = time.perf_counter() - t0   # det: allow(wall-clock)
-        if best is None or dt < best:
-            best = dt
-        if tput is None:
-            tput = t
-        elif t != tput:
+        if not first:
+            first.append(t)
+        elif t != first[0]:
             raise RuntimeError("fig09 smoke is non-deterministic across repeats")
-    return {"host_seconds": best, "throughput_tps": tput}
+        return {"seconds": dt, "throughput_tps": t}
+
+    return sample
 
 
 def time_compiled_tier(repeats: int = 3) -> Dict[str, object]:
@@ -81,13 +86,14 @@ def time_compiled_tier(repeats: int = 3) -> Dict[str, object]:
 
     The compiled tier must produce an identical simulated throughput
     (its equivalence is enforced field-by-field in repro.perf
-    equivalence); here only the *host* cost ratio is measured.  Timing
-    is best-of-``repeats`` and the whole call is timed — loading
-    included — because that is what a sweep pays per point.
+    equivalence); here only the *host* cost ratio is measured.  The
+    tiers are timed in ``repeats`` interleaved pairs and the whole call
+    is timed — loading included — because that is what a sweep pays
+    per point.
     """
-    interp = _time_fig09(None, repeats)
-    compiled = _time_fig09(None, repeats,
-                           softcore=SoftcoreConfig(compiled=True))
+    compiled, interp, speedup = paired_timing(
+        repeats, _fig09_sampler(None, softcore=SoftcoreConfig(compiled=True)),
+        _fig09_sampler(None))
     if interp["throughput_tps"] != compiled["throughput_tps"]:
         raise RuntimeError(
             f"fig09 smoke: simulated throughput diverged between tiers "
@@ -96,10 +102,9 @@ def time_compiled_tier(repeats: int = 3) -> Dict[str, object]:
     return {
         "repeats": max(1, repeats),
         "throughput_tps": compiled["throughput_tps"],
-        "host_seconds": compiled["host_seconds"],
-        "interpreted_host_seconds": interp["host_seconds"],
-        "speedup_vs_interpreted":
-            interp["host_seconds"] / compiled["host_seconds"],
+        "host_seconds": compiled["seconds"],
+        "interpreted_host_seconds": interp["seconds"],
+        "speedup_vs_interpreted": speedup,
     }
 
 
@@ -116,8 +121,9 @@ def run_simspeed(smoke: bool = False, repeats: int = 3,
     out: Dict[str, Dict[str, object]] = {}
     for name in names:
         setup = _SETUPS[name]
-        fast = _time_scenario(setup, None, scale, repeats)
-        ref = _time_scenario(setup, ReferenceEngine, scale, repeats)
+        fast, ref, speedup = paired_timing(
+            repeats, _scenario_sampler(setup, None, scale),
+            _scenario_sampler(setup, ReferenceEngine, scale))
         if (fast["sim_ns"], fast["events_fired"]) != \
                 (ref["sim_ns"], ref["events_fired"]):
             raise RuntimeError(
@@ -127,14 +133,13 @@ def run_simspeed(smoke: bool = False, repeats: int = 3,
             "scale": scale,
             "repeats": max(1, repeats),
             "sim_ns": fast["sim_ns"],
-            "host_seconds": fast["host_seconds"],
-            "sim_ns_per_host_sec": fast["sim_ns"] / fast["host_seconds"],
-            "reference_host_seconds": ref["host_seconds"],
-            "speedup_vs_reference":
-                ref["host_seconds"] / fast["host_seconds"],
+            "host_seconds": fast["seconds"],
+            "sim_ns_per_host_sec": fast["sim_ns"] / fast["seconds"],
+            "reference_host_seconds": ref["seconds"],
+            "speedup_vs_reference": speedup,
         }
-    fast = _time_fig09(None, repeats)
-    ref = _time_fig09(ReferenceEngine, repeats)
+    fast, ref, speedup = paired_timing(repeats, _fig09_sampler(None),
+                                       _fig09_sampler(ReferenceEngine))
     if fast["throughput_tps"] != ref["throughput_tps"]:
         raise RuntimeError(
             f"fig09 smoke: simulated throughput diverged between engines "
@@ -142,9 +147,9 @@ def run_simspeed(smoke: bool = False, repeats: int = 3,
     out["fig09_ycsb_smoke"] = {
         "repeats": max(1, repeats),
         "throughput_tps": fast["throughput_tps"],
-        "host_seconds": fast["host_seconds"],
-        "reference_host_seconds": ref["host_seconds"],
-        "speedup_vs_reference": ref["host_seconds"] / fast["host_seconds"],
+        "host_seconds": fast["seconds"],
+        "reference_host_seconds": ref["seconds"],
+        "speedup_vs_reference": speedup,
     }
     out["fig09_compiled_tier"] = time_compiled_tier(repeats)
     return out
