@@ -325,7 +325,7 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
     """Extension: the latency-vs-load hockey stick the paper's
     closed-loop (pre-populated input queue) methodology hides.  Loads
     are fractions of the saturated YCSB-C throughput."""
-    from ..host.open_loop import OpenLoopClient
+    from ..frontend import FrontEnd, FrontendConfig
 
     report = FigureReport(
         "Extension: latency under load",
@@ -354,7 +354,6 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
     for frac in loads:
         db, workload = fresh()
         specs = workload.make_read_txns(n_txns)
-        client = OpenLoopClient(db, seed=5)
 
         def make_txn(i, _specs=specs, _w=workload, _db=db):
             spec = _specs[i]
@@ -363,9 +362,14 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
                                   worker=spec.home)
             return block, spec.home
 
-        result = client.run(make_txn, n_txns, offered_tps=frac * saturated)
-        p99.add(result.percentile_ns(99) / 1000.0)
-        mean.add(result.mean_latency_ns / 1000.0)
+        # one open-loop Poisson session; the pass-through front-end
+        # delivers each block to its home worker at its arrival instant
+        fe = FrontEnd(db, FrontendConfig.passthrough())
+        stats = fe.session(make_txn, rate_tps=frac * saturated,
+                           n_requests=n_txns, seed=5).stats
+        fe.run()
+        p99.add(stats.percentile_ns(99) / 1000.0)
+        mean.add(stats.latency.mean / 1000.0)
     report.note(f"saturated closed-loop throughput: {saturated/1e3:.1f} kTps")
     return report
 

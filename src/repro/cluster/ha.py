@@ -12,8 +12,8 @@ Model shape: each node is a full-width :class:`BionicDB` (worker *p* on
 every node models partition *p*'s slot; only the owner's copy
 advances), and the control plane is serial over a hand-advanced virtual
 clock shared with :class:`MembershipService` — the same drill-style
-host loop ``repro.faults.drill`` uses, so failover drills compose with
-the existing crash drills instead of inventing a second harness.
+host loop ``repro.faults.drill`` uses, so the cluster drill suite runs
+on the same harness as the crash drills.
 
 The safety contract, enforced with typed errors and an audit trail:
 
@@ -38,7 +38,6 @@ The safety contract, enforced with typed errors and an audit trail:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,7 +48,7 @@ from ..errors import (
     StaleEpochError,
 )
 from ..host.command_log import CommandLog, LogRecord
-from ..host.recovery import RecoveryManager, take_checkpoint
+from ..host.recovery import RecoveryManager, partition_hashes
 from ..mem.txnblock import TxnStatus
 from ..sim.stats import StatsRegistry
 from .interconnect import NodeLinks
@@ -541,22 +540,12 @@ class HACluster:
     # -- state inspection ----------------------------------------------------
     def partition_hashes(self) -> Dict[str, str]:
         """Per-partition content hashes read from each partition's
-        *current owner* — the cluster-level analogue of
-        :func:`repro.faults.drill.partition_hashes`."""
-        by_owner: Dict[int, Set[int]] = {}
-        for p, st in self.parts.items():
-            by_owner.setdefault(st.owner, set()).add(p)
+        *current owner*, in the :func:`repro.host.recovery.partition_hashes`
+        format so they compare against a single-machine run."""
         out: Dict[str, str] = {}
-        for owner, pset in by_owner.items():
-            ckpt = take_checkpoint(self.nodes[owner])
-            for (table, part), items in sorted(ckpt.rows.items()):
-                if part not in pset:
-                    continue
-                digest = hashlib.sha256()
-                for key, fields, _write_ts in sorted(
-                        items, key=lambda r: repr(r[0])):
-                    digest.update(repr((key, list(fields))).encode())
-                out[f"t{table}.p{part}"] = digest.hexdigest()
+        for owner in sorted({st.owner for st in self.parts.values()}):
+            out.update(partition_hashes(self.nodes[owner], {
+                p for p, st in self.parts.items() if st.owner == owner}))
         return out
 
     def ownership_map(self) -> Dict[int, Tuple[int, int]]:

@@ -21,27 +21,19 @@ from .plan import (
     NIC_CORRUPT, NIC_DROP, NIC_DUPLICATE, NODE_DEATH, SITES,
     STALE_EPOCH_SUBMIT, TORN_APPEND, Trigger, WORKER_CRASH,
 )
-_DRILL_NAMES = ("DrillConfig", "DrillResult", "RecoveryDrill", "run_sweep")
-_CLUSTER_DRILL_NAMES = ("ClusterDrillConfig", "ClusterDrillResult",
-                        "ClusterDrill", "run_cluster_sweep")
-_OVERLOAD_DRILL_NAMES = ("OverloadDrillConfig", "OverloadDrillResult",
-                         "OverloadDrill", "run_overload_sweep")
 
 
 def __getattr__(name):
     # lazy: `python -m repro.faults.drill` must not import the drill
     # module twice (runpy), and plain fault injection must not pay for
     # the workload imports the drills pull in
-    if name in _DRILL_NAMES:
-        from . import drill
-        return getattr(drill, name)
-    if name in _CLUSTER_DRILL_NAMES:
-        from . import cluster_drill
-        return getattr(cluster_drill, name)
-    if name in _OVERLOAD_DRILL_NAMES:
-        from . import overload_drill
-        return getattr(overload_drill, name)
+    if name in __all__:
+        from . import cluster_drill, drill, overload_drill
+        for module in (drill, cluster_drill, overload_drill):
+            if hasattr(module, name):
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FaultPlan", "Trigger", "SITES",
@@ -53,7 +45,5 @@ __all__ = [
     "MACHINE_CRASH", "WORKER_CRASH",
     "DrillConfig", "DrillResult", "RecoveryDrill", "run_sweep",
     "ClusterDrillConfig", "ClusterDrillResult", "ClusterDrill",
-    "run_cluster_sweep",
     "OverloadDrillConfig", "OverloadDrillResult", "OverloadDrill",
-    "run_overload_sweep",
 ]

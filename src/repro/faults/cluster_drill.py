@@ -1,28 +1,30 @@
 """Cluster failover/migration drills: prove HA safety, don't assert it.
 
-The single-node :mod:`repro.faults.drill` proves crash recovery; this
-harness proves the *cluster* invariants under seeded incidents.  One
-drill runs a YCSB RMW stream two ways:
+The single-node suite (:mod:`repro.faults.drill`) proves crash
+recovery; this suite proves the *cluster* invariants under seeded
+incidents.  One drill runs a YCSB RMW stream two ways:
 
 1. **Golden** — an uninterrupted single-machine run (all partitions on
    one full-width BionicDB): per-transaction outcomes, per-transaction
    engine time, final per-partition content hashes.
 2. **Cluster** — the same stream through an :class:`HACluster` (three
    nodes, epoch-fenced router, owner→follower log shipping) while a
-   plan-chosen incident plays out.  The client behaves the way
-   :class:`~repro.frontend.session.ClientSession` does: typed retryable
-   errors back off and retry; :class:`StaleEpochError` refreshes the
-   cached epoch first; a retry *reconciles against the authoritative
-   log* before re-executing, so a committed transaction is never
-   double-applied.
+   plan-chosen incident plays out.  The client is the production
+   :class:`~repro.frontend.router.ClusterRetryRouter` with its retry
+   budget and circuit breakers switched off: typed retryable errors
+   back off and retry; :class:`StaleEpochError` re-caches the whole
+   ownership map and re-submits; a retry *reconciles against the
+   authoritative log* before re-executing, so a committed transaction
+   is never double-applied.
 
-Incident flavours (``_CLUSTER_FLAVORS``): clean runs, node death,
+Incident flavours (``CLUSTER_FLAVORS``): clean runs, node death,
 failure-detector false positives (a muted heartbeat egress — the node
 still runs, and fencing must hold), random heartbeat loss storms, link
 partitions under traffic, injected stale-epoch submits, and live
 migration — including the source or destination dying mid-transfer.
 
-Invariants checked after every drill, regardless of flavour:
+Invariants checked after every drill, regardless of flavour (shared
+with the overload suite's cluster flavours):
 
 * **Durability** — every transaction acknowledged to the client is
   present, with the same outcome, in the *current owner's* log
@@ -44,23 +46,26 @@ of golden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..core.config import BionicConfig, HAConfig
-from ..core.system import BionicDB
-from ..errors import (
-    BionicError, MigrationError, PartitionUnavailableError,
-    ReplicationStalledError, StaleEpochError,
+from ..cluster.ha import HACluster
+from ..cluster.migration import MigrationState
+from ..core.config import HAConfig
+from ..errors import FrontendError
+from ..frontend import (
+    BreakerConfig, ClusterRetryRouter, ClusterRouterConfig, RetryBudgetConfig,
 )
-from ..mem.txnblock import TxnStatus
-from .drill import DrillFailure, partition_hashes
+from .drill import (
+    BaseResult, DrillFailure, Golden, check_determinism, check_hashes,
+    draw_flavor, golden_run, make_workload, new_machine, run_guard,
+)
 from .plan import (
     FaultPlan, HEARTBEAT_LOSS, LINK_PARTITION, NODE_DEATH,
     STALE_EPOCH_SUBMIT,
 )
 
 __all__ = ["ClusterDrillConfig", "ClusterDrillResult", "ClusterDrill",
-           "run_cluster_sweep", "CLUSTER_FLAVORS"]
+           "CLUSTER_FLAVORS"]
 
 #: incident flavours and their selection weights
 CLUSTER_FLAVORS: Tuple[Tuple[str, float], ...] = (
@@ -75,8 +80,76 @@ CLUSTER_FLAVORS: Tuple[Tuple[str, float], ...] = (
     ("clean", 0.05),             # no incident; everything must still hold
 )
 
-_TERMINAL = (TxnStatus.COMMITTED.value, TxnStatus.ABORTED.value)
 
+# -- cluster pieces shared with the overload suite ---------------------------
+
+def build_cluster(cfg, wl, plan: FaultPlan, **kwargs):
+    """``cfg.n_nodes`` full-width machines loaded with ``wl``."""
+    return HACluster(
+        cfg.n_nodes, cfg.n_partitions,
+        build_node=lambda: new_machine(cfg.n_partitions),
+        install_node=lambda db: wl.install(db, load_data=True),
+        ha=cfg.ha, faults=plan,
+        max_events_per_txn=cfg.max_events_per_txn, **kwargs)
+
+
+def begin_migration(cluster, partition: int):
+    """Move ``partition`` to the next routable node after its owner."""
+    src = cluster.owner_of(partition)
+    n = cluster.n_nodes
+    dst = next(node for k in range(1, n) for node in [(src + k) % n]
+               if node in cluster.routable and node != src)
+    return src, dst, cluster.begin_migration(partition, dst)
+
+
+def wait_until(cluster, router, done: Callable[[], bool],
+               step_ns: float) -> None:
+    """A short stream can finish before the failure detector or the
+    migration acts: advance the control plane until ``done()``."""
+    for _ in range(8):
+        if done():
+            return
+        cluster.advance(step_ns)
+        router.pump()
+
+
+def check_acked(cluster, specs, acked: Dict[int, tuple],
+                golden: Golden) -> None:
+    """Durability (each ack is in its current owner's log) and
+    determinism (each acked outcome is the golden run's)."""
+    for i, (txn_id, outcome) in sorted(acked.items()):
+        durable = cluster.durable_status(specs[i].home, txn_id)
+        if durable != outcome:
+            raise DrillFailure(
+                f"durability violated: txn #{i} acked {outcome!r} but "
+                f"the authoritative log says {durable!r}")
+    check_determinism({i: outcome for i, (_id, outcome)
+                       in sorted(acked.items())}, golden)
+
+
+def check_fencing(cluster) -> None:
+    """No execution ran under an epoch other than the one it claimed."""
+    for entry in cluster.audit:
+        if entry[0] == "exec" and entry[3] != entry[4]:
+            raise DrillFailure(
+                f"stale-epoch execution: txn tag {entry[1]} ran under "
+                f"epoch {entry[3]} while claiming {entry[4]}")
+
+
+def untouched_service_ns(cluster, specs, golden: Golden, partition: int
+                         ) -> Tuple[float, float]:
+    """Mean engine ns per transaction ``(cluster, golden)`` over the
+    transactions not homed on ``partition`` (``(0, 0)`` if none ran)."""
+    untouched = [i for i in range(len(specs))
+                 if specs[i].home != partition and i in cluster.txn_engine_ns]
+    if not untouched:
+        return 0.0, 0.0
+    got = sum(cluster.txn_engine_ns[i] for i in untouched) / len(untouched)
+    want = sum(golden.engine_ns[i] for i in untouched) / len(untouched)
+    return got, want
+
+
+# -- the cluster suite -------------------------------------------------------
 
 @dataclass
 class ClusterDrillConfig:
@@ -93,9 +166,7 @@ class ClusterDrillConfig:
 
 
 @dataclass
-class ClusterDrillResult:
-    seed: int
-    flavor: str = ""
+class ClusterDrillResult(BaseResult):
     event_txn: Optional[int] = None
     victim: Optional[int] = None
     acked: int = 0
@@ -104,9 +175,6 @@ class ClusterDrillResult:
     failovers: int = 0
     migrations: int = 0
     unavailability_ns: Optional[float] = None
-    ok: bool = False
-    failure: Optional[str] = None
-    fault_log: List[tuple] = field(default_factory=list)
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"FAIL: {self.failure}"
@@ -125,43 +193,9 @@ class ClusterDrill:
     def __init__(self, config: Optional[ClusterDrillConfig] = None):
         self.config = config or ClusterDrillConfig()
 
-    # -- workload ------------------------------------------------------------
-    def _workload(self):
-        from ..workloads.ycsb import YcsbConfig, YcsbWorkload
-        cfg = self.config
-        wl = YcsbWorkload(YcsbConfig(
-            records_per_partition=cfg.records_per_partition,
-            n_partitions=cfg.n_partitions,
-            reads_per_txn=cfg.reads_per_txn,
-            payload="x" * 8, seed=cfg.seed))
-        return wl, wl.make_rmw_txns(cfg.n_txns)
-
-    def _golden(self, wl, specs):
-        cfg = self.config
-        db = BionicDB(BionicConfig(n_workers=cfg.n_partitions))
-        wl.install(db, load_data=True)
-        outcomes, engine_ns = [], []
-        for spec in specs:
-            block = db.new_block(spec.proc_id, list(spec.inputs),
-                                 layout=wl.layout_for(spec), worker=spec.home)
-            e0 = db.engine.now
-            db.submit(block, spec.home)
-            db.run(max_events=cfg.max_events_per_txn)
-            engine_ns.append(db.engine.now - e0)
-            outcomes.append(block.header.status.value)
-        return outcomes, engine_ns, partition_hashes(db)
-
-    # -- schedule ------------------------------------------------------------
     def _choose(self, plan: FaultPlan):
         cfg = self.config
-        roll = plan.draw()
-        acc = 0.0
-        flavor = CLUSTER_FLAVORS[-1][0]
-        for name, weight in CLUSTER_FLAVORS:
-            acc += weight
-            if roll < acc:
-                flavor = name
-                break
+        flavor = draw_flavor(plan, CLUSTER_FLAVORS)
         event_txn = plan.draw_int(1, max(1, cfg.n_txns - 3))
         victim = plan.draw_int(0, cfg.n_nodes - 1)
         mig_part = plan.draw_int(0, cfg.n_partitions - 1)
@@ -176,200 +210,88 @@ class ClusterDrill:
             plan.arm(NODE_DEATH, nth=1)
         return flavor, event_txn, victim, mig_part
 
-    # -- the drill -----------------------------------------------------------
     def run(self) -> ClusterDrillResult:
         cfg = self.config
         result = ClusterDrillResult(seed=cfg.seed)
-        wl, specs = self._workload()
-        golden_outcomes, golden_engine_ns, golden_hashes = \
-            self._golden(wl, specs)
         plan = FaultPlan(cfg.seed)
-        flavor, event_txn, victim, mig_part = self._choose(plan)
-        result.flavor = flavor
-        result.event_txn = event_txn
-        cluster = _build_cluster(cfg, wl, plan)
-        try:
-            self._drive(cluster, wl, specs, plan, flavor, event_txn, victim,
-                        mig_part, golden_outcomes, golden_engine_ns,
-                        golden_hashes, result)
-            result.ok = True
-        except DrillFailure as exc:
-            result.failure = str(exc)
-        except BionicError as exc:
-            result.failure = f"{type(exc).__name__}: {exc}"
-        result.fault_log = list(plan.fired_log)
-        result.failovers = len(cluster.failovers)
-        result.migrations = len(cluster.migrations)
+        with run_guard(result, plan):
+            wl, specs = make_workload(
+                "ycsb", cfg.seed, cfg.n_txns, cfg.n_partitions,
+                cfg.records_per_partition, cfg.reads_per_txn)
+            golden = golden_run(wl, specs, cfg.n_partitions,
+                                cfg.max_events_per_txn)
+            flavor, result.event_txn, victim, mig_part = self._choose(plan)
+            result.flavor = flavor
+            cluster = build_cluster(cfg, wl, plan)
+            try:
+                self._drive(cluster, wl, specs, golden, flavor, victim,
+                            mig_part, result)
+            finally:
+                result.failovers = len(cluster.failovers)
+                result.migrations = len(cluster.migrations)
         return result
 
-    def _drive(self, cluster, wl, specs, plan, flavor, event_txn, victim,
-               mig_part, golden_outcomes, golden_engine_ns, golden_hashes,
+    def _fire(self, cluster, flavor: str, victim: int, mig_part: int):
+        """Start the flavour's incident; returns ``(victim, migration)``."""
+        migration = None
+        if flavor == "node_death":
+            cluster.kill_node(victim)
+        elif flavor == "false_positive":
+            cluster.links.mute_heartbeats(
+                victim,
+                cluster.now_ns + 4 * self.config.ha.heartbeat_timeout_ns)
+        elif flavor.startswith("migration_"):
+            src, dst, migration = begin_migration(cluster, mig_part)
+            if flavor == "migration_src_death":
+                victim = src
+                cluster.kill_node(src)
+            elif flavor == "migration_dst_death":
+                victim = dst
+                cluster.kill_node(dst)
+        return victim, migration
+
+    def _drive(self, cluster, wl, specs, golden: Golden, flavor: str,
+               victim: int, mig_part: int,
                result: ClusterDrillResult) -> None:
         cfg = self.config
-        layouts = [wl.layout_for(s) for s in specs]
-        epochs: Dict[int, int] = {p: cluster.current_epoch(p)
-                                  for p in range(cfg.n_partitions)}
-        acked: Dict[int, Tuple[int, str]] = {}      # tag -> (txn_id, outcome)
-        pending: Dict[int, List[int]] = {p: [] for p in range(cfg.n_partitions)}
-        stalled: Set[int] = set()
-        queued: Set[int] = set()
+        step_ns = cfg.ha.heartbeat_timeout_ns
+        router = ClusterRetryRouter(cluster, ClusterRouterConfig(
+            budget=RetryBudgetConfig(enabled=False),
+            breaker=BreakerConfig(enabled=False),
+            round_refill=0.0, max_epoch_refreshes=3))
         migration = None
+        try:
+            for i, spec in enumerate(specs):
+                if i == result.event_txn:
+                    victim, migration = self._fire(cluster, flavor, victim,
+                                                   mig_part)
+                router.route(i, spec, wl.layout_for(spec))
+            router.settle(cfg.max_settle_rounds, step_ns / 2)
+        except FrontendError as exc:
+            raise DrillFailure(str(exc)) from exc
+        finally:
+            result.reexecuted = router.reexecuted
+            result.stale_rejections = router.stale_refreshes
 
-        def drain_router():
-            for tag, res in list(cluster.released.items()):
-                acked[tag] = (res.txn_id, res.outcome)
-                queued.discard(tag)
-                del cluster.released[tag]
-            while cluster.deferred:
-                spec, _layout, tag = cluster.deferred.pop(0)
-                queued.discard(tag)
-                if tag not in pending[spec.home]:
-                    pending[spec.home].append(tag)
-                if cluster.attempt_of(tag) is not None:
-                    stalled.add(tag)
-            for p in pending:
-                pending[p].sort()
-
-        def try_one(i: int) -> bool:
-            """One submission attempt for spec ``i``; True = placed
-            (acked or queued at the router)."""
-            spec = specs[i]
-            p = spec.home
-            if i in stalled:
-                rc = cluster.reconcile(i)
-                if rc is not None:
-                    state, status = rc
-                    if state == "acked":
-                        stalled.discard(i)
-                        acked[i] = (cluster.attempt_of(i)[1], status)
-                        return True
-                    return False        # executed, replication still stuck
-                stalled.discard(i)      # no durable trace: re-execute
-                result.reexecuted += 1
-            for _ in range(3):          # stale-epoch refresh loop
-                try:
-                    res = cluster.submit_spec(spec, layouts[i],
-                                              client_epoch=epochs.get(p),
-                                              tag=i)
-                except StaleEpochError:
-                    result.stale_rejections += 1
-                    epochs[p] = cluster.current_epoch(p)
-                    continue
-                except PartitionUnavailableError:
-                    return False        # back off; failover will happen
-                except ReplicationStalledError:
-                    stalled.add(i)
-                    return False
-                if res.status == "queued":
-                    queued.add(i)
-                else:
-                    acked[i] = (res.txn_id, res.outcome)
-                return True
-            raise DrillFailure(
-                f"txn #{i} still fenced after repeated epoch refreshes")
-
-        def flush(p: int) -> None:
-            while pending[p]:
-                if not try_one(pending[p][0]):
-                    return
-                pending[p].pop(0)
-
-        def fire_event():
-            nonlocal migration, victim
-            if flavor == "node_death":
-                cluster.kill_node(victim)
-            elif flavor == "false_positive":
-                cluster.links.mute_heartbeats(
-                    victim,
-                    cluster.now_ns + 4 * cfg.ha.heartbeat_timeout_ns)
-            elif flavor in ("migration_live", "migration_src_death",
-                            "migration_dst_death"):
-                src = cluster.owner_of(mig_part)
-                dst = next(n for k in range(1, cfg.n_nodes)
-                           for n in [(src + k) % cfg.n_nodes]
-                           if n in cluster.routable and n != src)
-                migration = cluster.begin_migration(mig_part, dst)
-                if flavor == "migration_src_death":
-                    victim = src
-                    cluster.kill_node(src)
-                elif flavor == "migration_dst_death":
-                    victim = dst
-                    cluster.kill_node(dst)
-
-        # ---- the stream ----
-        for i, spec in enumerate(specs):
-            if i == event_txn:
-                fire_event()
-            p = spec.home
-            drain_router()
-            flush(p)
-            if pending[p]:
-                pending[p].append(i)    # preserve per-partition order
-                continue
-            if not try_one(i):
-                pending[p].append(i)
-
-        # ---- settle: let detection, failover and migration complete ----
-        for _ in range(cfg.max_settle_rounds):
-            drain_router()
-            for p in sorted(pending):
-                flush(p)
-            outstanding = queued or any(pending.values())
-            if not outstanding and len(acked) == len(specs):
-                break
-            cluster.advance(cfg.ha.heartbeat_timeout_ns / 2)
-        else:
-            missing = sorted(set(range(len(specs))) - set(acked))
-            raise DrillFailure(
-                f"stream did not converge: txns {missing} never acked "
-                f"(pending={ {p: v for p, v in pending.items() if v} })")
-
-        # a short stream can finish before the failure detector declares
-        # the victim; the flavours that promise a failover get detection
-        # time before the invariants are judged
-        if flavor in ("node_death", "false_positive"):
-            for _ in range(8):
-                if cluster.failovers:
-                    break
-                cluster.advance(cfg.ha.heartbeat_timeout_ns)
-
+        promises_failover = flavor in ("node_death", "false_positive")
+        if promises_failover:
+            wait_until(cluster, router, lambda: bool(cluster.failovers),
+                       step_ns)
         result.victim = victim
-        result.acked = len(acked)
+        result.acked = len(router.acked)
 
         # ---- invariants ----
-        for i, (txn_id, outcome) in sorted(acked.items()):
-            durable = cluster.durable_status(specs[i].home, txn_id)
-            if durable != outcome:
-                raise DrillFailure(
-                    f"durability violated: txn #{i} acked {outcome!r} but "
-                    f"the authoritative log says {durable!r}")
-            if outcome in _TERMINAL and outcome != golden_outcomes[i]:
-                raise DrillFailure(
-                    f"determinism violated: txn #{i} finished {outcome!r} "
-                    f"but golden run saw {golden_outcomes[i]!r}")
-        for entry in cluster.audit:
-            if entry[0] == "exec" and entry[3] != entry[4]:
-                raise DrillFailure(
-                    f"stale-epoch execution: txn tag {entry[1]} ran under "
-                    f"epoch {entry[3]} while claiming {entry[4]}")
-        cluster_hashes = cluster.partition_hashes()
-        if cluster_hashes != golden_hashes:
-            differing = sorted(
-                k for k in set(golden_hashes) | set(cluster_hashes)
-                if golden_hashes.get(k) != cluster_hashes.get(k))
-            raise DrillFailure(
-                f"state divergence after incidents in partitions {differing}")
+        check_acked(cluster, specs, router.acked, golden)
+        check_fencing(cluster)
+        check_hashes(golden, cluster.partition_hashes(), after="incidents")
 
         # ---- flavour-specific checks ----
-        if flavor in ("node_death", "false_positive"):
-            if not cluster.failovers:
-                raise DrillFailure(f"{flavor}: no failover happened")
-        if flavor == "stale_epoch":
-            if not any(e[0] == "reject_stale" for e in cluster.audit):
-                raise DrillFailure("stale_epoch: injected submit was not "
-                                   "rejected")
+        if promises_failover and not cluster.failovers:
+            raise DrillFailure(f"{flavor}: no failover happened")
+        if flavor == "stale_epoch" and not any(
+                e[0] == "reject_stale" for e in cluster.audit):
+            raise DrillFailure("stale_epoch: injected submit was not rejected")
         if flavor == "migration_live":
-            from ..cluster.migration import MigrationState
             if migration is None or migration.state is not MigrationState.DONE:
                 raise DrillFailure(
                     f"migration did not complete: "
@@ -379,49 +301,15 @@ class ClusterDrill:
                 raise DrillFailure(
                     f"migration unavailability "
                     f"{migration.unavailability_ns:.0f}ns exceeds budget")
-            untouched = [i for i in range(len(specs))
-                         if specs[i].home != mig_part
-                         and i in cluster.txn_engine_ns]
-            if untouched:
-                got = sum(cluster.txn_engine_ns[i]
-                          for i in untouched) / len(untouched)
-                want = sum(golden_engine_ns[i]
-                           for i in untouched) / len(untouched)
-                if want > 0 and abs(got - want) / want > 0.05:
-                    raise DrillFailure(
-                        f"untouched-partition throughput drifted "
-                        f"{abs(got - want) / want:.1%} from golden "
-                        f"(got {got:.0f}ns/txn, golden {want:.0f}ns/txn)")
-        if flavor in ("migration_src_death", "migration_dst_death"):
-            from ..cluster.migration import MigrationState
-            if migration is not None and migration.state not in (
-                    MigrationState.DONE, MigrationState.ABORTED):
+            got, want = untouched_service_ns(cluster, specs, golden, mig_part)
+            if want > 0 and abs(got - want) / want > 0.05:
                 raise DrillFailure(
-                    f"mid-migration death left the state machine wedged: "
-                    f"{migration.summary()}")
+                    f"untouched-partition throughput drifted "
+                    f"{abs(got - want) / want:.1%} from golden "
+                    f"(got {got:.0f}ns/txn, golden {want:.0f}ns/txn)")
+        if migration is not None and migration.state not in (
+                MigrationState.DONE, MigrationState.ABORTED):
+            raise DrillFailure(
+                f"mid-migration death left the state machine wedged: "
+                f"{migration.summary()}")
 
-
-def _build_cluster(cfg: ClusterDrillConfig, wl, plan: FaultPlan):
-    from ..cluster.ha import HACluster
-    return HACluster(
-        cfg.n_nodes, cfg.n_partitions,
-        build_node=lambda: BionicDB(BionicConfig(n_workers=cfg.n_partitions)),
-        install_node=lambda db: wl.install(db, load_data=True),
-        ha=cfg.ha, faults=plan,
-        max_events_per_txn=cfg.max_events_per_txn)
-
-
-def run_cluster_sweep(seeds: Sequence[int], n_txns: int = 18,
-                      verbose: bool = False) -> List[ClusterDrillResult]:
-    """One cluster drill per seed."""
-    results = []
-    for seed in seeds:
-        drill = ClusterDrill(ClusterDrillConfig(n_txns=n_txns, seed=seed))
-        result = drill.run()
-        results.append(result)
-        if verbose or not result.ok:
-            print(result.summary())
-            if not result.ok and result.fault_log:
-                for site, n, t in result.fault_log:
-                    print(f"    fired {site} (opportunity {n}, t={t:.0f}ns)")
-    return results

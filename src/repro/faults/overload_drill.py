@@ -29,31 +29,37 @@ Four seeded flavours (``OVERLOAD_FLAVORS``):
 
 Invariants shared by every flavour: exact terminal-outcome
 conservation, recovery within the budget, and retry amplification
-under ``amplification_cap``.  Cluster flavours additionally reuse
-``reconcile()`` / ``durable_status()`` / ``partition_hashes()`` to
-prove no-double-execution against an uninterrupted golden run.
+under ``amplification_cap``.  Cluster flavours additionally run the
+cluster suite's invariants (:mod:`repro.faults.cluster_drill`) and a
+``reconcile()`` check to prove no double execution against an
+uninterrupted golden run.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core.config import BionicConfig, HAConfig
-from ..core.system import BionicDB
-from ..errors import BionicError
+from ..cluster.migration import MigrationState
+from ..core.config import HAConfig
 from ..frontend import (
     AdmissionConfig, BreakerConfig, BrownoutConfig, ClusterRetryRouter,
     ClusterRouterConfig, FrontEnd, FrontendConfig, NicConfig,
     ResilienceConfig, RetryBudgetConfig, SchedulerConfig, SessionConfig,
 )
-from ..mem.txnblock import TxnStatus
-from .drill import DrillFailure, partition_hashes
+from .cluster_drill import (
+    begin_migration, build_cluster, check_acked, check_fencing,
+    untouched_service_ns, wait_until,
+)
+from .drill import (
+    BaseResult, DrillFailure, check_hashes, draw_flavor, golden_run,
+    make_workload, new_machine, run_guard,
+)
 from .plan import FaultPlan
 
 __all__ = ["OverloadDrillConfig", "OverloadDrillResult", "OverloadDrill",
-           "run_overload_sweep", "OVERLOAD_FLAVORS"]
+           "OVERLOAD_FLAVORS"]
 
 #: flavours and their selection weights
 OVERLOAD_FLAVORS: Tuple[Tuple[str, float], ...] = (
@@ -62,8 +68,6 @@ OVERLOAD_FLAVORS: Tuple[Tuple[str, float], ...] = (
     ("slow_client_storm", 0.23),
     ("migration_under_load", 0.20),
 )
-
-_TERMINAL = (TxnStatus.COMMITTED.value, TxnStatus.ABORTED.value)
 
 
 @dataclass
@@ -101,9 +105,7 @@ class OverloadDrillConfig:
 
 
 @dataclass
-class OverloadDrillResult:
-    seed: int
-    flavor: str = ""
+class OverloadDrillResult(BaseResult):
     event_txn: Optional[int] = None
     victim: Optional[int] = None
     offered: int = 0
@@ -116,9 +118,6 @@ class OverloadDrillResult:
     pre_goodput: Optional[float] = None
     post_goodput: Optional[float] = None
     breaker_transitions: Dict[str, int] = field(default_factory=dict)
-    ok: bool = False
-    failure: Optional[str] = None
-    fault_log: List[tuple] = field(default_factory=list)
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"FAIL: {self.failure}"
@@ -141,27 +140,13 @@ class OverloadDrill:
     def __init__(self, config: Optional[OverloadDrillConfig] = None):
         self.config = config or OverloadDrillConfig()
 
-    # -- flavour selection ---------------------------------------------------
-    def _choose(self, plan: FaultPlan) -> str:
-        if self.config.flavor is not None:
-            return self.config.flavor
-        roll = plan.draw()
-        acc = 0.0
-        flavor = OVERLOAD_FLAVORS[-1][0]
-        for name, weight in OVERLOAD_FLAVORS:
-            acc += weight
-            if roll < acc:
-                flavor = name
-                break
-        return flavor
-
     def run(self) -> OverloadDrillResult:
         cfg = self.config
         result = OverloadDrillResult(seed=cfg.seed)
         plan = FaultPlan(cfg.seed)
-        flavor = self._choose(plan)
+        flavor = draw_flavor(plan, OVERLOAD_FLAVORS, forced=cfg.flavor)
         result.flavor = flavor
-        try:
+        with run_guard(result, plan):
             if flavor == "retry_storm_failover":
                 self._cluster_flavor(plan, result, migrate=False)
             elif flavor == "migration_under_load":
@@ -172,47 +157,16 @@ class OverloadDrill:
                 self._slow_client_storm(plan, result)
             else:
                 raise DrillFailure(f"unknown overload flavour {flavor!r}")
-            result.ok = True
-        except DrillFailure as exc:
-            result.failure = str(exc)
-        except BionicError as exc:
-            result.failure = f"{type(exc).__name__}: {exc}"
-        result.fault_log = list(plan.fired_log)
         return result
 
     # -- cluster flavours: retry storm after failover, migration ------------
-    def _workload(self):
-        from ..workloads.ycsb import YcsbConfig, YcsbWorkload
-        cfg = self.config
-        wl = YcsbWorkload(YcsbConfig(
-            records_per_partition=cfg.records_per_partition,
-            n_partitions=cfg.n_partitions,
-            reads_per_txn=4, payload="x" * 8, seed=cfg.seed))
-        return wl, wl.make_rmw_txns(cfg.n_txns)
-
-    def _golden(self, wl, specs):
-        cfg = self.config
-        db = BionicDB(BionicConfig(n_workers=cfg.n_partitions))
-        wl.install(db, load_data=True)
-        outcomes, engine_ns = [], []
-        for spec in specs:
-            block = db.new_block(spec.proc_id, list(spec.inputs),
-                                 layout=wl.layout_for(spec), worker=spec.home)
-            e0 = db.engine.now
-            db.submit(block, spec.home)
-            db.run(max_events=cfg.max_events_per_txn)
-            engine_ns.append(db.engine.now - e0)
-            outcomes.append(block.header.status.value)
-        return outcomes, engine_ns, partition_hashes(db)
-
     def _cluster_flavor(self, plan: FaultPlan, result: OverloadDrillResult,
                         migrate: bool) -> None:
-        from ..cluster.ha import HACluster
         cfg = self.config
-        wl, specs = self._workload()
-        golden_outcomes, golden_engine_ns, golden_hashes = \
-            self._golden(wl, specs)
-        layouts = [wl.layout_for(s) for s in specs]
+        wl, specs = make_workload("ycsb", cfg.seed, cfg.n_txns,
+                                  cfg.n_partitions, cfg.records_per_partition)
+        golden = golden_run(wl, specs, cfg.n_partitions,
+                            cfg.max_events_per_txn)
         event_txn = plan.draw_int(1, max(1, cfg.n_txns - 3))
         # hit the partition the very next transaction targets, so the
         # incident is guaranteed to land in the live traffic's path
@@ -220,18 +174,11 @@ class OverloadDrill:
         result.event_txn = event_txn
         result.offered = len(specs)
 
-        cluster = HACluster(
-            cfg.n_nodes, cfg.n_partitions,
-            build_node=lambda: BionicDB(
-                BionicConfig(n_workers=cfg.n_partitions)),
-            install_node=lambda db: wl.install(db, load_data=True),
-            ha=cfg.ha, faults=plan,
-            max_events_per_txn=cfg.max_events_per_txn,
-            # control-plane step shorter than the migration drain
-            # barrier (links.inter_latency_ns), so in-flight traffic
-            # actually lands inside the drain/transfer window instead
-            # of time-warping past it between submits
-            step_ns=1_000.0)
+        # control-plane step shorter than the migration drain barrier
+        # (links.inter_latency_ns), so in-flight traffic actually lands
+        # inside the drain/transfer window instead of time-warping past
+        # it between submits
+        cluster = build_cluster(cfg, wl, plan, step_ns=1_000.0)
         router = ClusterRetryRouter(cluster, ClusterRouterConfig(
             budget=RetryBudgetConfig(ratio=0.5, burst=8),
             breaker=BreakerConfig(window=8, min_samples=2,
@@ -242,35 +189,19 @@ class OverloadDrill:
         for i, spec in enumerate(specs):
             if i == event_txn:
                 if migrate:
-                    src = cluster.owner_of(target_part)
-                    dst = next(n for k in range(1, cfg.n_nodes)
-                               for n in [(src + k) % cfg.n_nodes]
-                               if n in cluster.routable and n != src)
-                    migration = cluster.begin_migration(target_part, dst)
-                    result.victim = src
+                    result.victim, _dst, migration = begin_migration(
+                        cluster, target_part)
                 else:
-                    victim = cluster.owner_of(target_part)
-                    result.victim = victim
-                    cluster.kill_node(victim)
-            router.route(i, spec, layouts[i])
+                    result.victim = cluster.owner_of(target_part)
+                    cluster.kill_node(result.victim)
+            router.route(i, spec, wl.layout_for(spec))
 
-        rounds = router.settle(cfg.max_settle_rounds,
-                               cfg.ha.heartbeat_timeout_ns / 2)
+        step_ns = cfg.ha.heartbeat_timeout_ns
+        rounds = router.settle(cfg.max_settle_rounds, step_ns / 2)
         result.recovery_rounds = rounds
-        if migrate:
-            from ..cluster.migration import MigrationState
-            for _ in range(8):
-                if migration.state in (MigrationState.DONE,
-                                       MigrationState.ABORTED):
-                    break
-                cluster.advance(cfg.ha.heartbeat_timeout_ns)
-                router.pump()
-        elif not cluster.failovers:
-            for _ in range(8):
-                if cluster.failovers:
-                    break
-                cluster.advance(cfg.ha.heartbeat_timeout_ns)
-                router.pump()
+        wait_until(cluster, router, lambda: (
+            migration.state in (MigrationState.DONE, MigrationState.ABORTED)
+            if migrate else bool(cluster.failovers)), step_ns)
 
         result.acked = len(router.acked)
         result.retries = router.attempts - router.first_attempts
@@ -294,52 +225,25 @@ class OverloadDrill:
         if sorted(router.acked) != list(range(len(specs))):
             raise DrillFailure(
                 f"acked set wrong: {sorted(router.acked)}")
-        for i, (txn_id, outcome) in sorted(router.acked.items()):
+        for i, (_txn_id, outcome) in sorted(router.acked.items()):
             rc = cluster.reconcile(i)
             if rc is None or rc[0] != "acked" or rc[1] != outcome:
                 raise DrillFailure(
                     f"reconcile disagrees for txn #{i}: acked {outcome!r} "
                     f"but reconcile says {rc!r} — double execution risk")
-            durable = cluster.durable_status(specs[i].home, txn_id)
-            if durable != outcome:
-                raise DrillFailure(
-                    f"durability violated: txn #{i} acked {outcome!r} but "
-                    f"the authoritative log says {durable!r}")
-            if outcome in _TERMINAL and outcome != golden_outcomes[i]:
-                raise DrillFailure(
-                    f"determinism violated: txn #{i} finished {outcome!r} "
-                    f"but golden run saw {golden_outcomes[i]!r}")
-        for entry in cluster.audit:
-            if entry[0] == "exec" and entry[3] != entry[4]:
-                raise DrillFailure(
-                    f"stale-epoch execution: txn tag {entry[1]} ran under "
-                    f"epoch {entry[3]} while claiming {entry[4]}")
-        cluster_hashes = cluster.partition_hashes()
-        if cluster_hashes != golden_hashes:
-            differing = sorted(
-                k for k in set(golden_hashes) | set(cluster_hashes)
-                if golden_hashes.get(k) != cluster_hashes.get(k))
-            raise DrillFailure(
-                f"state divergence after overload in partitions {differing}")
+        check_acked(cluster, specs, router.acked, golden)
+        check_fencing(cluster)
+        check_hashes(golden, cluster.partition_hashes(), after="overload")
 
         # ---- goodput recovery: untouched partitions unaffected ----
-        untouched = [i for i in range(len(specs))
-                     if specs[i].home != target_part
-                     and i in cluster.txn_engine_ns]
-        if untouched:
-            got = sum(cluster.txn_engine_ns[i]
-                      for i in untouched) / len(untouched)
-            want = sum(golden_engine_ns[i]
-                       for i in untouched) / len(untouched)
-            if want > 0 and got > want * (2 - self.config.
-                                          goodput_recovery_fraction):
-                raise DrillFailure(
-                    f"untouched-partition service time degraded "
-                    f"{got / want:.2f}x vs golden — goodput did not recover")
+        got, want = untouched_service_ns(cluster, specs, golden, target_part)
+        if want > 0 and got > want * (2 - cfg.goodput_recovery_fraction):
+            raise DrillFailure(
+                f"untouched-partition service time degraded "
+                f"{got / want:.2f}x vs golden — goodput did not recover")
 
         # ---- flavour-specific ----
         if migrate:
-            from ..cluster.migration import MigrationState
             if migration.state is not MigrationState.DONE:
                 raise DrillFailure(
                     f"migration did not complete: {migration.summary()}")
@@ -353,15 +257,17 @@ class OverloadDrill:
                 raise DrillFailure(
                     "traffic hit the migrating partition but nothing was "
                     "queued-and-replayed")
-        else:
-            if not cluster.failovers:
-                raise DrillFailure("node death never produced a failover")
+        elif not cluster.failovers:
+            raise DrillFailure("node death never produced a failover")
 
     # -- front-end flavours: flash crowd, slow-client storm ------------------
-    def _build_frontend(self, fe_config: FrontendConfig):
-        db = BionicDB(BionicConfig(n_workers=2))
-        db.define_table(self._kv_schema())
+    def _frontend(self, plan: FaultPlan, budget: RetryBudgetConfig,
+                  nic: Optional[NicConfig] = None):
+        """The 2-worker kv-get box behind a resilient front-end."""
         from ..isa import Gp, ProcedureBuilder
+        from ..mem.schema import TableSchema
+        db = new_machine(2)
+        db.define_table(TableSchema(0, "kv", hash_buckets=512))
         builder = ProcedureBuilder("get")
         builder.search(cp=0, table=0, key=builder.at(0))
         builder.commit_handler()
@@ -371,19 +277,44 @@ class OverloadDrill:
         db.register_procedure(1, builder.build())
         for k in range(200):
             db.load(0, k, [f"v{k}"])
-        fe = FrontEnd(db, fe_config)
+        fe = FrontEnd(db, FrontendConfig(
+            nic=nic or NicConfig(),
+            admission=AdmissionConfig(enabled=True, max_backlog=48),
+            scheduler=SchedulerConfig(policy="fifo",
+                                      max_inflight_per_worker=8),
+            resilience=ResilienceConfig(
+                enabled=True, budget=budget,
+                brownout=BrownoutConfig(shed_at=(2.0, 0.85, 0.6)))))
 
         def factory(i):
             key = i % 200
             home = db.schemas.table(0).route(key, 2)
             return db.new_block(1, [key, None], worker=home), home
 
-        return db, fe, factory
+        return fe, factory, random.Random(plan.draw_int(0, 2 ** 31 - 1))
 
-    @staticmethod
-    def _kv_schema():
-        from ..mem.schema import TableSchema
-        return TableSchema(0, "kv", hash_buckets=512)
+    def _base_session(self, fe, factory, rng, max_retries: int,
+                      retry_backoff_ns: float):
+        """The high-priority tenant whose goodput must recover."""
+        cfg = self.config
+        return fe.session(factory, SessionConfig(
+            name="base", arrival="open", rate_tps=cfg.base_rate_tps,
+            n_requests=cfg.base_requests, deadline_ns=cfg.base_deadline_ns,
+            priority=0, weight=4.0, max_retries=max_retries,
+            retry_backoff_ns=retry_backoff_ns, retry_jitter=0.5), rng=rng)
+
+    def _serve(self, fe, budget: RetryBudgetConfig,
+               result: OverloadDrillResult):
+        """Run to completion; check conservation and amplification."""
+        report = fe.run()
+        fe.detach()
+        result.offered = report.offered
+        result.acked = report.committed
+        result.shed = report.rejected + report.timed_out
+        result.breaker_transitions = report.breaker_transitions
+        self._check_class_conservation(report)
+        self._check_amplification(report, budget, result)
+        return report
 
     @staticmethod
     def _window_goodput(session, lo_ns: float, hi_ns: float
@@ -459,39 +390,19 @@ class OverloadDrill:
 
     def _flash_crowd(self, plan: FaultPlan, result: OverloadDrillResult
                      ) -> None:
-        cfg = self.config
         budget = RetryBudgetConfig(ratio=0.3, burst=8)
-        fe_config = FrontendConfig(
-            admission=AdmissionConfig(enabled=True, max_backlog=48),
-            scheduler=SchedulerConfig(policy="fifo",
-                                      max_inflight_per_worker=8),
-            resilience=ResilienceConfig(
-                enabled=True, budget=budget,
-                brownout=BrownoutConfig(shed_at=(2.0, 0.85, 0.6))))
-        db, fe, factory = self._build_frontend(fe_config)
-        rng = random.Random(plan.draw_int(0, 2 ** 31 - 1))
+        fe, factory, rng = self._frontend(plan, budget)
         crowd_start = 150_000.0
         crowd_rate = 4_000_000.0 + plan.draw() * 4_000_000.0
         crowd_n = 180 + plan.draw_int(0, 120)
-        base = fe.session(factory, SessionConfig(
-            name="base", arrival="open", rate_tps=cfg.base_rate_tps,
-            n_requests=cfg.base_requests, deadline_ns=cfg.base_deadline_ns,
-            priority=0, weight=4.0, max_retries=2, retry_backoff_ns=5_000.0,
-            retry_jitter=0.5), rng=rng)
+        base = self._base_session(fe, factory, rng, 2, 5_000.0)
         crowd = fe.session(factory, SessionConfig(
             name="crowd", arrival="open", rate_tps=crowd_rate,
             n_requests=crowd_n, deadline_ns=150_000.0, priority=2,
             weight=1.0, start_ns=crowd_start, max_retries=2,
             retry_backoff_ns=5_000.0, retry_jitter=0.5), rng=rng)
-        report = fe.run()
-        fe.detach()
-        result.offered = report.offered
-        result.acked = report.committed
-        result.shed = report.rejected + report.timed_out
-        result.breaker_transitions = report.breaker_transitions
+        report = self._serve(fe, budget, result)
 
-        self._check_class_conservation(report)
-        self._check_amplification(report, budget, result)
         crowd_end = max(r.created_at_ns for r in crowd.requests)
         self._check_recovery_windows(base, crowd_start, crowd_end, result)
         crowd_row = report.by_class()[2]
@@ -506,26 +417,13 @@ class OverloadDrill:
 
     def _slow_client_storm(self, plan: FaultPlan,
                            result: OverloadDrillResult) -> None:
-        cfg = self.config
         budget = RetryBudgetConfig(ratio=0.3, burst=10)
-        fe_config = FrontendConfig(
-            nic=NicConfig(rx_queue_depth=32, rx_process_ns=500.0),
-            admission=AdmissionConfig(enabled=True, max_backlog=48),
-            scheduler=SchedulerConfig(policy="fifo",
-                                      max_inflight_per_worker=8),
-            resilience=ResilienceConfig(
-                enabled=True, budget=budget,
-                brownout=BrownoutConfig(shed_at=(2.0, 0.85, 0.6))))
-        db, fe, factory = self._build_frontend(fe_config)
-        rng = random.Random(plan.draw_int(0, 2 ** 31 - 1))
+        fe, factory, rng = self._frontend(plan, budget, nic=NicConfig(
+            rx_queue_depth=32, rx_process_ns=500.0))
         storm_start = 120_000.0
         storm_rate = 700_000.0 + plan.draw() * 400_000.0
         storm_n = 80 + plan.draw_int(0, 40)
-        base = fe.session(factory, SessionConfig(
-            name="base", arrival="open", rate_tps=cfg.base_rate_tps,
-            n_requests=cfg.base_requests, deadline_ns=cfg.base_deadline_ns,
-            priority=0, weight=4.0, max_retries=3, retry_backoff_ns=4_000.0,
-            retry_jitter=0.5), rng=rng)
+        base = self._base_session(fe, factory, rng, 3, 4_000.0)
         storms = [
             fe.session(factory, SessionConfig(
                 name=f"storm{k}", arrival="open", rate_tps=storm_rate,
@@ -534,15 +432,8 @@ class OverloadDrill:
                 retry_backoff_ns=2_000.0, retry_jitter=0.5), rng=rng)
             for k in range(3)
         ]
-        report = fe.run()
-        fe.detach()
-        result.offered = report.offered
-        result.acked = report.committed
-        result.shed = report.rejected + report.timed_out
-        result.breaker_transitions = report.breaker_transitions
+        report = self._serve(fe, budget, result)
 
-        self._check_class_conservation(report)
-        self._check_amplification(report, budget, result)
         if report.nic_dropped == 0 and not report.brownout_shed:
             raise DrillFailure(
                 "the storm never pressured the box: no RX drops and no "
@@ -551,18 +442,3 @@ class OverloadDrill:
                         for s in storms for r in s.requests)
         self._check_recovery_windows(base, storm_start, storm_end, result)
 
-
-def run_overload_sweep(seeds: Sequence[int],
-                       verbose: bool = False) -> List[OverloadDrillResult]:
-    """One overload drill per seed."""
-    results = []
-    for seed in seeds:
-        drill = OverloadDrill(OverloadDrillConfig(seed=seed))
-        result = drill.run()
-        results.append(result)
-        if verbose or not result.ok:
-            print(result.summary())
-            if not result.ok and result.fault_log:
-                for site, n, t in result.fault_log:
-                    print(f"    fired {site} (opportunity {n}, t={t:.0f}ns)")
-    return results

@@ -60,8 +60,8 @@ class FrontendConfig:
     def passthrough() -> "FrontendConfig":
         """A transparent front-end: infinite link, no admission, no
         dispatch window — requests reach the workers at their arrival
-        instants, preserving the historical direct-submit behaviour
-        (used by the open-loop client for API compatibility)."""
+        instants, as a direct submit would (the open-loop session
+        behind ``python -m repro.bench ext-latency``)."""
         return FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=None, rx_process_ns=0.0),

@@ -49,7 +49,7 @@ class SessionStats:
     latency: PercentileHistogram = field(
         default_factory=lambda: PercentileHistogram("latency_ns"))
     #: exact latency samples (committed requests), for small-run exact
-    #: percentiles and the open-loop client's historical report shape
+    #: percentiles (:meth:`percentile_ns`)
     latencies_ns: List[float] = field(default_factory=list)
 
     def record(self, req) -> None:

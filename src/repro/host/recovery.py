@@ -8,6 +8,7 @@ resume transaction processing.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,8 @@ from ..sim.engine import SimulationError
 from .command_log import CommandLog, LogRecord
 from .durable import read_frames, write_frames
 
-__all__ = ["Checkpoint", "take_checkpoint", "RecoveryManager", "RecoveryError"]
+__all__ = ["Checkpoint", "take_checkpoint", "partition_hashes",
+           "RecoveryManager", "RecoveryError"]
 
 #: magic for the framed on-disk checkpoint format
 CKPT_MAGIC = b"BDBC"
@@ -126,6 +128,26 @@ def take_checkpoint(db: BionicDB) -> Checkpoint:
                 items = list(worker.skiplist_pipe.checkpoint_rows(schema.table_id))
             ckpt.rows[(schema.table_id, w)] = items
     return ckpt
+
+
+def partition_hashes(db: BionicDB, partitions: Optional[set] = None
+                     ) -> Dict[str, str]:
+    """Per-(table, partition) content hash over committed rows, limited
+    to ``partitions`` if given (a cluster node hashes what it owns).
+
+    Hashes keys and fields only: write timestamps are regenerated by
+    replay (the hardware clock restarts past the checkpoint) and so are
+    not part of logical state equivalence.
+    """
+    out: Dict[str, str] = {}
+    for (table, part), items in sorted(take_checkpoint(db).rows.items()):
+        if partitions is not None and part not in partitions:
+            continue
+        digest = hashlib.sha256()
+        for key, fields, _write_ts in sorted(items, key=lambda r: repr(r[0])):
+            digest.update(repr((key, list(fields))).encode())
+        out[f"t{table}.p{part}"] = digest.hexdigest()
+    return out
 
 
 class RecoveryManager:

@@ -217,7 +217,7 @@ class TestPublicApi:
         from repro.cluster import BionicCluster  # noqa
         from repro.baseline import SiloEngine, SiloTpcc, SiloYcsb  # noqa
         from repro.host import (  # noqa
-            CommandLog, DurableClient, OpenLoopClient, RecoveryManager,
+            CommandLog, DurableClient, RecoveryManager,
             compact, take_checkpoint,
         )
         from repro.workloads import TpccWorkload, YcsbWorkload  # noqa

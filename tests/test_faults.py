@@ -549,17 +549,57 @@ class TestRecoveryDrill:
         assert result.crashed          # seed 1 picks a crashing flavour
         assert result.salvaged >= result.acked
 
-    def test_drill_is_deterministic(self):
-        cfg = DrillConfig(workload="ycsb", seed=5, n_txns=8)
-        a = RecoveryDrill(cfg).run()
-        b = RecoveryDrill(cfg).run()
-        assert (a.flavor, a.crash_txn, a.acked, a.salvaged, a.fault_log) == \
-            (b.flavor, b.crash_txn, b.acked, b.salvaged, b.fault_log)
+    @pytest.mark.parametrize("suite, config", [
+        ("single", {"workload": "ycsb", "n_txns": 8}),
+        ("cluster", {"n_txns": 8}),
+        ("overload", {}),
+    ], ids=["single", "cluster", "overload"])
+    def test_drill_is_deterministic(self, suite, config):
+        from repro.faults import run_sweep
+        (a,) = run_sweep(suite, [5], **config)
+        (b,) = run_sweep(suite, [5], **config)
+        assert a.summary() == b.summary()
+        assert a.fault_log == b.fault_log
 
     @pytest.mark.drill
     def test_drill_sweep_smoke(self):
         from repro.faults import run_sweep
-        results = run_sweep(range(12), workload="mixed", n_txns=12)
+        results = run_sweep("single", range(12), workload="mixed",
+                            n_txns=12)
         assert all(r.ok for r in results), \
             [r.summary() for r in results if not r.ok]
         assert any(r.crashed for r in results)
+
+    def test_typed_error_fails_one_seed_not_the_sweep(self, monkeypatch,
+                                                      capsys):
+        """A BionicError other than DrillFailure (here a corrupt base
+        checkpoint) marks its seed failed with the typed message; the
+        sweep goes on and the CLI exits 1."""
+        from repro.faults import drill
+        real = drill.RecoveryDrill._faulted_and_recover
+
+        def corrupt_seed_1(self, *args):
+            if self.config.seed == 1:
+                raise CorruptionError("checkpoint frame CRC mismatch")
+            return real(self, *args)
+
+        monkeypatch.setattr(drill.RecoveryDrill, "_faulted_and_recover",
+                            corrupt_seed_1)
+        results = drill.run_sweep("single", range(3), n_txns=6)
+        assert [r.ok for r in results] == [True, False, True]
+        assert results[1].failure == \
+            "CorruptionError: checkpoint frame CRC mismatch"
+        assert "seed=1 tpcc" in capsys.readouterr().out
+        assert drill.main(["--seeds", "2", "--suite", "single",
+                           "--txns", "6"]) == 1
+        assert "1 ok, 1 failed" in capsys.readouterr().out
+
+    def test_cli_runs_every_registered_suite(self, capsys):
+        from repro.faults.drill import main
+        assert main(["--seeds", "2", "--suite", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        totals = [line for line in lines if " drills, " in line]
+        assert [line.split(":")[0] for line in totals] == \
+            ["single-node", "cluster", "overload"]
+        assert all("2 ok, 0 failed" in line for line in totals)
+        assert sum(line.startswith("  flavours: ") for line in lines) == 3
