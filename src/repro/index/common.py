@@ -170,7 +170,7 @@ class DbRequest:
         if self.result is not None:
             raise IndexError_(f"request {self.req_id} completed twice")
         self.result = result
-        if result.ok and self.is_write and self.on_write_effect is not None:
+        if self.on_write_effect is not None and result.ok and self.is_write:
             self.on_write_effect(self, result)
         if self.on_complete is not None:
             self.on_complete(self, result)
@@ -228,8 +228,8 @@ class PipelineBase:
         raise NotImplementedError
 
     def _start_admission(self) -> None:
-        """Spawn the admission process.  The compiled hash pipeline
-        overrides this with a callback state machine (no process)."""
+        """Spawn the admission process.  The hash pipeline overrides
+        this with a callback state machine (no process)."""
         self._admit_proc = self.engine.process(self._admit_loop(),
                                                name=f"{self.name}.admit")
 

@@ -2,25 +2,22 @@
 
 ``python -m repro.perf`` measures how fast the host can turn the
 simulation's crank — engine microbenchmarks, end-to-end simulated-ns
-per host-second — and proves, via the cycle-equivalence checker, that
-the hot-path engine (:mod:`repro.sim.engine`) produces bit-identical
-simulated timing to the pre-overhaul reference implementation kept in
-:mod:`repro.perf.refengine`, and that the compiled execution tier
-(``SoftcoreConfig(compiled=True)``) reproduces the interpreter on
-every fingerprint field except the event count.  Results land in
-``BENCH_sim.json``; the speedup ratios are machine-independent and are
-what CI regresses against.  ``python -m repro.perf sweep`` farms
+per host-second — and replays the seeded smoke scenarios against their
+checked-in golden fingerprints, so a host-side change that moves a
+simulated event fails the run.  Every timing is also expressed as a
+ratio against a fixed in-process calibration loop
+(:func:`repro.perf.microbench.calibration_loop`); the ratios are
+machine-independent and are what CI regresses against.  Results land
+in ``BENCH_sim.json``.  ``python -m repro.perf sweep`` farms
 paper-scale points across host processes (:mod:`repro.perf.sweep`).
 See ``docs/performance.md``.
 """
 
 from .equivalence import (
-    COMPILED_KEYS,
     GOLDEN_SMOKE,
     SCENARIOS,
     bptree_scenario,
     bptree_setup,
-    compiled_view,
     equivalence_failures,
     run_equivalence,
     tpcc_scenario,
@@ -28,20 +25,17 @@ from .equivalence import (
     ycsb_scenario,
     ycsb_setup,
 )
-from .microbench import run_microbenchmarks
-from .refengine import ReferenceEngine
-from .simspeed import run_simspeed, time_compiled_tier
+from .microbench import calibration_loop, run_microbenchmarks
+from .simspeed import run_simspeed
 from .sweep import POINTS, host_metadata, run_point, run_sweep
 
 __all__ = [
-    "COMPILED_KEYS",
     "GOLDEN_SMOKE",
     "POINTS",
     "SCENARIOS",
-    "ReferenceEngine",
     "bptree_scenario",
     "bptree_setup",
-    "compiled_view",
+    "calibration_loop",
     "equivalence_failures",
     "host_metadata",
     "run_equivalence",
@@ -49,7 +43,6 @@ __all__ = [
     "run_point",
     "run_simspeed",
     "run_sweep",
-    "time_compiled_tier",
     "tpcc_scenario",
     "tpcc_setup",
     "ycsb_scenario",

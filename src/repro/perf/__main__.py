@@ -9,18 +9,16 @@ Usage::
     python -m repro.perf --out results.json    # alternate output path
     python -m repro.perf --smoke --check BENCH_sim.json
                                                # fail on >25% regression of any
-                                               # speedup ratio
+                                               # calibration ratio
     python -m repro.perf sweep ...             # paper-scale parallel sweep
                                                # (see repro.perf.sweep)
 
-The regression check compares speedup ratios only
-(``speedup_vs_reference`` for the engine overhaul,
-``speedup_vs_interpreted`` for the compiled execution tier): the
-compared configurations run in the same process on the same host, so a
-ratio is machine-independent even though absolute rates are not.
-Equivalence failures (any simulated-timing divergence between the
-engines, between the execution tiers, or from the checked-in golden
-constants) always fail the run.
+The regression check compares ``ratio_vs_calibration`` figures only:
+each bench is timed in the same process, on the same host, as a fixed
+pure-Python calibration loop, so the ratio is machine-independent even
+though absolute rates are not.  Equivalence failures (any simulated
+divergence from the checked-in golden fingerprints) always fail the
+run.
 """
 
 from __future__ import annotations
@@ -38,13 +36,13 @@ from .sweep import host_metadata, sweep_main
 #: a ratio may degrade to this fraction of its baseline before CI fails
 REGRESSION_FLOOR = 0.75
 
-SCHEMA = "repro.perf/v2"
+SCHEMA = "repro.perf/v3"
 
 #: ratio fields covered by the regression gate
-_RATIO_KEYS = ("speedup_vs_reference", "speedup_vs_interpreted")
+_RATIO_KEYS = ("ratio_vs_calibration",)
 
 
-def _collect_speedups(results: Dict) -> Dict[str, float]:
+def _collect_ratios(results: Dict) -> Dict[str, float]:
     out = {}
     for section in ("microbench", "simspeed"):
         for name, entry in results.get(section, {}).items():
@@ -56,18 +54,19 @@ def _collect_speedups(results: Dict) -> Dict[str, float]:
 
 
 def check_regressions(results: Dict, baseline: Dict) -> list:
-    """Compare speedup ratios against a baseline file's; list failures."""
+    """Compare calibration ratios against a baseline file's; list
+    failures."""
     failures = []
-    current = _collect_speedups(results)
-    reference = _collect_speedups(baseline)
-    for key, base_ratio in reference.items():
+    current = _collect_ratios(results)
+    baseline_ratios = _collect_ratios(baseline)
+    for key, base_ratio in baseline_ratios.items():
         now_ratio = current.get(key)
         if now_ratio is None:
             failures.append(f"{key}: present in baseline but not measured")
             continue
         if now_ratio < base_ratio * REGRESSION_FLOOR:
             failures.append(
-                f"{key}: speedup ratio {now_ratio:.2f} regressed "
+                f"{key}: ratio {now_ratio:.2f} regressed "
                 f">25% from baseline {base_ratio:.2f}")
     return failures
 
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="simulator host-performance bench + cycle-equivalence "
+        description="simulator host-performance bench + golden fingerprints "
                     "(use the 'sweep' subcommand for paper-scale points)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (smaller scenarios, same checks)")
@@ -90,8 +89,8 @@ def main(argv=None) -> int:
                         help="baseline BENCH_sim.json to regress against")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per bench (best-of for rates, "
-                             "median of interleaved pairs for speedups; "
-                             "default 3)")
+                             "median of pairs interleaved with the "
+                             "calibration loop for ratios; default 3)")
     parser.add_argument("--scenario", action="append", default=None,
                         metavar="NAME",
                         help="restrict equivalence/simspeed to this scenario "
@@ -148,18 +147,13 @@ def main(argv=None) -> int:
 
     for name, entry in micro.items():
         print(f"  micro {name:<18s} {entry['rate_per_sec']:>12,.0f}/s   "
-              f"speedup vs reference {entry['speedup_vs_reference']:.2f}x")
+              f"vs calibration {entry['ratio_vs_calibration']:.2f}x")
     for name, entry in speed.items():
         extra = (f"{entry['sim_ns_per_host_sec']:,.0f} sim-ns/host-s"
                  if "sim_ns_per_host_sec" in entry else
                  f"{entry['host_seconds']*1e3:.1f} ms")
-        if "speedup_vs_interpreted" in entry:
-            ratio = (f"speedup vs interpreted "
-                     f"{entry['speedup_vs_interpreted']:.2f}x")
-        else:
-            ratio = (f"speedup vs reference "
-                     f"{entry['speedup_vs_reference']:.2f}x")
-        print(f"  speed {name:<18s} {extra:>24s}   {ratio}")
+        print(f"  speed {name:<18s} {extra:>24s}   "
+              f"vs calibration {entry['ratio_vs_calibration']:.2f}x")
 
     failed = False
     if eq_failures:
@@ -168,9 +162,8 @@ def main(argv=None) -> int:
         for failure in eq_failures:
             print(f"  {failure}", file=sys.stderr)
     else:
-        print("repro.perf: cycle-equivalence OK "
-              "(fast == reference == golden; compiled tier matches on "
-              "now_ns/commits/aborts/commit-hash)")
+        print("repro.perf: cycle-equivalence OK (every scenario matches "
+              "its golden fingerprint)")
 
     if args.check:
         with open(args.check, "r", encoding="utf-8") as fh:

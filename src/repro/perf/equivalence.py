@@ -1,26 +1,14 @@
-"""Cycle-equivalence: the hot-path overhaul must not move a single event.
+"""Golden fingerprints: a host-side change must not move a single event.
 
-The contract of the :mod:`repro.sim.engine` rewrite is that it changes
-*host* cost only — every simulated quantity is bit-identical to the
-pre-overhaul engine.  This module proves it two ways:
-
-* **Live comparison** — replay a seeded scenario on the production
-  :class:`~repro.sim.engine.Engine` and on the preserved
-  :class:`~repro.perf.refengine.ReferenceEngine` and require identical
-  ``events_fired``, ``Engine.now``, commit/abort counts and a hash over
-  every per-transaction commit timestamp.
-* **Golden constants** — the same fingerprints captured from the
-  pre-overhaul engine are checked in below (:data:`GOLDEN_SMOKE`), so
-  equivalence is anchored to history, not merely to whatever the
-  reference copy happens to compute today.
-
-The **compiled tier** (``SoftcoreConfig(compiled=True)``: generated
-straight-line softcore sections plus the callback state-machine hash
-pipeline) is held to the same goldens on every field except
-``events_fired``: the compiled pipeline provably drops only no-op
-event firings, so the event *count* shrinks while ``now_ns``, commit
-and abort counts and the per-transaction commit-timestamp hash stay
-bit-identical (:data:`COMPILED_KEYS`).
+Host-performance work on the engine, the softcore or the index
+pipelines changes *host* cost only — every simulated quantity stays
+bit-identical.  The seeded smoke scenarios below are replayed and their
+fingerprints (``events_fired``, ``Engine.now``, commit/abort counts and
+a hash over every per-transaction commit time) compared with the
+checked-in :data:`GOLDEN_SMOKE` constants, so equivalence is anchored
+to history rather than to a second implementation.  The goldens of the
+modes these scenarios do not reach (dynamic scheduling, serial
+execution, tracing) live in ``tests/test_goldens.py``.
 
 Scenarios are deterministic: fixed seeds, no wall-clock reads.
 """
@@ -32,24 +20,22 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core import BionicConfig, BionicDB
 from ..mem.schema import IndexKind
-from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .refengine import ReferenceEngine
 
-__all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS", "COMPILED_KEYS",
+__all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS",
            "ycsb_setup", "ycsb_scenario", "tpcc_setup", "tpcc_scenario",
-           "bptree_setup", "bptree_scenario", "compiled_view",
+           "bptree_setup", "bptree_scenario",
            "run_equivalence", "equivalence_failures"]
 
-#: fingerprints of the smoke scenarios captured on the pre-overhaul
-#: engine (the heap-only event loop the perf PR replaced), before any
-#: fast path landed — the anchor the live engines are compared against.
-#: bptree_range_smoke was captured later (when the scenario was added)
-#: on the fast engine/ReferenceEngine pair, which the other two anchors
-#: prove equivalent to the pre-overhaul engine.
+#: fingerprints of the smoke scenarios.  now_ns, the counts and the
+#: commit hashes were captured on the pre-overhaul engine (the heap-only
+#: event loop the perf work replaced; bptree_range_smoke when the
+#: scenario was added) and have never moved.  events_fired was
+#: re-captured once, when the hash pipeline's stages became callbacks
+#: that fire no event for a no-op wait (18477, 40334 and 6033 before).
 GOLDEN_SMOKE = {
     "ycsb_smoke": {
-        "events_fired": 18477,
+        "events_fired": 15384,
         "now_ns": 187368.0,
         "committed": 57,
         "aborted": 3,
@@ -57,7 +43,7 @@ GOLDEN_SMOKE = {
             "e7bc04fef889d3e929575dd860443e08a9e965b7e645238f5709320a1025fc35",
     },
     "tpcc_smoke": {
-        "events_fired": 40334,
+        "events_fired": 33611,
         "now_ns": 530656.0,
         "committed": 24,
         "aborted": 63,
@@ -65,7 +51,7 @@ GOLDEN_SMOKE = {
             "bc978ca2d2c04e903222919cead95159309d178c46a89346555774f06f3118b9",
     },
     "bptree_range_smoke": {
-        "events_fired": 6033,
+        "events_fired": 6019,
         "now_ns": 423312.0,
         "committed": 32,
         "aborted": 0,
@@ -73,11 +59,6 @@ GOLDEN_SMOKE = {
             "a0aa2f667110944e34715ca59cfc44a50f287b2195ac3e4ee2749d9f0cb6ed6f",
     },
 }
-
-#: the fields the compiled tier must reproduce exactly.  events_fired
-#: is deliberately absent: dropped no-op firings shrink the count
-#: without moving any remaining item (see repro.index.hash.compiled).
-COMPILED_KEYS = ("now_ns", "committed", "aborted", "commit_hash")
 
 
 def _digest(commits: list) -> str:
@@ -96,25 +77,17 @@ def _fingerprint(db: BionicDB, report, blocks) -> Dict[str, object]:
     }
 
 
-def compiled_view(fingerprint: Dict[str, object]) -> Dict[str, object]:
-    """Restrict a fingerprint to the fields the compiled tier must match."""
-    return {k: fingerprint[k] for k in COMPILED_KEYS}
-
-
-def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-               softcore: Optional[SoftcoreConfig] = None):
+def ycsb_setup(scale: int = 1):
     """Build the YCSB scenario; returns ``(db, run)`` where ``run()``
     executes the seeded transaction mix and returns its fingerprint.
 
     Split from the run phase so :mod:`repro.perf.simspeed` can time the
     simulation loop separately from timing-free data loading.
-    ``softcore`` selects the execution tier (compiled vs interpreted).
     """
     n = 40 * scale
     wl = YcsbWorkload(YcsbConfig(records_per_partition=2000, n_partitions=2,
                                  reads_per_txn=8, seed=7))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_rmw_txns(n // 2)
 
@@ -125,23 +98,18 @@ def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
     return db, run
 
 
-def ycsb_scenario(engine_factory: Optional[Callable] = None,
-                  scale: int = 1,
-                  softcore: Optional[SoftcoreConfig] = None
-                  ) -> Dict[str, object]:
+def ycsb_scenario(scale: int = 1) -> Dict[str, object]:
     """Seeded YCSB mix (reads + RMWs) on a 2-worker machine."""
-    _db, run = ycsb_setup(engine_factory, scale, softcore)
+    _db, run = ycsb_setup(scale)
     return run()
 
 
-def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-               softcore: Optional[SoftcoreConfig] = None):
+def tpcc_setup(scale: int = 1):
     """Build the TPC-C scenario; returns ``(db, run)`` (see ycsb_setup)."""
     n = 24 * scale
     wl = TpccWorkload(TpccConfig(n_partitions=2, customers_per_district=40,
                                  items=400, seed=11))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_mix(n)
 
@@ -152,30 +120,20 @@ def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
     return db, run
 
 
-def tpcc_scenario(engine_factory: Optional[Callable] = None,
-                  scale: int = 1,
-                  softcore: Optional[SoftcoreConfig] = None
-                  ) -> Dict[str, object]:
+def tpcc_scenario(scale: int = 1) -> Dict[str, object]:
     """Seeded TPC-C NewOrder+Payment mix with retry-to-commit."""
-    _db, run = tpcc_setup(engine_factory, scale, softcore)
+    _db, run = tpcc_setup(scale)
     return run()
 
 
-def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-                 softcore: Optional[SoftcoreConfig] = None):
-    """YCSB over a B+ tree index: point reads plus RANGE_SCANs.
-
-    Exercises the batched level-wise B+ tree coprocessor and the
-    RANGE_SCAN path end-to-end; under the compiled tier it additionally
-    exercises tier fallback (sections the specializer declines run on
-    the interpreter mid-workload, with identical simulated timing).
-    """
+def bptree_setup(scale: int = 1):
+    """YCSB over a B+ tree index: point reads plus RANGE_SCANs, through
+    the batched level-wise B+ tree coprocessor."""
     n = 16 * scale
     wl = YcsbWorkload(YcsbConfig(records_per_partition=1200, n_partitions=2,
                                  reads_per_txn=4, scan_length=24, seed=13,
                                  index_kind=IndexKind.BPTREE))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_range_txns(n)
 
@@ -186,12 +144,9 @@ def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
     return db, run
 
 
-def bptree_scenario(engine_factory: Optional[Callable] = None,
-                    scale: int = 1,
-                    softcore: Optional[SoftcoreConfig] = None
-                    ) -> Dict[str, object]:
+def bptree_scenario(scale: int = 1) -> Dict[str, object]:
     """Seeded B+ tree reads + range scans on a 2-worker machine."""
-    _db, run = bptree_setup(engine_factory, scale, softcore)
+    _db, run = bptree_setup(scale)
     return run()
 
 
@@ -212,52 +167,26 @@ SETUPS: Dict[str, Callable] = {
 def run_equivalence(scale: int = 1,
                     scenarios: Optional[Iterable[str]] = None
                     ) -> Dict[str, Dict[str, object]]:
-    """Replay every scenario on both engines and compare fingerprints.
+    """Replay every scenario and compare it with its golden.
 
-    Returns, per scenario: the fast-engine and reference-engine
-    fingerprints, whether they match each other, whether the compiled
-    execution tier reproduces the fast engine on :data:`COMPILED_KEYS`,
-    and (at scale 1) whether the fast engine matches the checked-in
-    golden constants.  ``scenarios`` restricts the run to the named
-    subset (unknown names raise ``KeyError``).
+    Returns, per scenario, the fingerprint and (at scale 1, where the
+    goldens were captured) whether it matches :data:`GOLDEN_SMOKE`.
+    ``scenarios`` restricts the run to the named subset (unknown names
+    raise ``KeyError``).
     """
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
     out: Dict[str, Dict[str, object]] = {}
     for name in names:
-        scenario = SCENARIOS[name]
-        fast = scenario(None, scale)
-        ref = scenario(ReferenceEngine, scale)
-        compiled = scenario(None, scale, SoftcoreConfig(compiled=True))
-        entry: Dict[str, object] = {
-            "fast": fast,
-            "reference": ref,
-            "match": fast == ref,
-            "compiled": compiled,
-            "compiled_match": compiled_view(compiled) == compiled_view(fast),
-        }
+        entry: Dict[str, object] = {"fingerprint": SCENARIOS[name](scale)}
         if scale == 1:
-            golden = GOLDEN_SMOKE.get(name)
-            if golden is not None:
-                entry["golden_match"] = fast == golden
+            entry["golden_match"] = entry["fingerprint"] == GOLDEN_SMOKE[name]
         out[name] = entry
     return out
 
 
 def equivalence_failures(results: Dict[str, Dict[str, object]]) -> List[str]:
     """Human-readable mismatch descriptions; empty list means equivalent."""
-    failures: List[str] = []
-    for name, entry in results.items():
-        if not entry["match"]:
-            failures.append(
-                f"{name}: fast engine diverged from reference engine — "
-                f"fast={entry['fast']} reference={entry['reference']}")
-        if not entry.get("golden_match", True):
-            failures.append(
-                f"{name}: fast engine diverged from checked-in golden "
-                f"values — fast={entry['fast']} golden={GOLDEN_SMOKE[name]}")
-        if not entry.get("compiled_match", True):
-            failures.append(
-                f"{name}: compiled tier diverged from the interpreter on "
-                f"{COMPILED_KEYS} — compiled={entry['compiled']} "
-                f"interpreted={entry['fast']}")
-    return failures
+    return [f"{name}: diverged from the checked-in golden values — "
+            f"run={entry['fingerprint']} golden={GOLDEN_SMOKE[name]}"
+            for name, entry in results.items()
+            if not entry.get("golden_match", True)]

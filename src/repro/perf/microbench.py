@@ -1,9 +1,9 @@
 """Engine microbenchmarks: host throughput of the simulation primitives.
 
-Three hot paths, each timed on the production engine and on the
-preserved pre-overhaul :class:`~repro.perf.refengine.ReferenceEngine`
-so the reported ``speedup_vs_reference`` is machine-independent (both
-engines run in the same process on the same host):
+Three hot paths, each timed against the fixed pure-Python
+:func:`calibration_loop` in the same process, so the reported
+``ratio_vs_calibration`` (calibration seconds per bench second) is
+machine-independent where the raw rates are not:
 
 * ``events`` — bare event-loop turnaround: processes yielding numeric
   delays (events fired per host-second).
@@ -20,17 +20,18 @@ Timed regions run with the garbage collector quiesced
 (:func:`quiesced_gc`, the same discipline as :mod:`timeit`): a cyclic
 collection triggered by heap state accumulated *outside* the bench —
 a long pytest session, a prior CLI invocation — would otherwise land
-inside one engine's timing window and not the other's, and at
-``--repeats 1`` a single such pause is enough to flip a
-``speedup_vs_reference`` ratio.  For the same reason the two engines
-are timed in interleaved pairs (:func:`paired_timing`) rather than one
-engine's repeats after the other's.
+inside one side's timing window and not the other's, and at
+``--repeats 1`` a single such pause is enough to flip a ratio.  For the
+same reason a bench and the calibration loop are timed in interleaved
+pairs (:func:`calibrated`) rather than one's repeats after the
+other's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import heapq
 import statistics
 import time
 from typing import Callable, Dict, Tuple
@@ -39,9 +40,9 @@ from ..sim.clock import ClockDomain
 from ..sim.memory import DramModel, Heap
 from ..sim.sync import Fifo
 from ..sim.engine import Engine
-from .refengine import ReferenceEngine
 
-__all__ = ["run_microbenchmarks", "quiesced_gc", "paired_timing"]
+__all__ = ["run_microbenchmarks", "quiesced_gc", "calibration_loop",
+           "calibrated"]
 
 
 @contextlib.contextmanager
@@ -60,39 +61,77 @@ def quiesced_gc():
 Sample = Dict[str, float]
 
 
-def paired_timing(repeats: int, fast: Callable[[], Sample],
-                  slow: Callable[[], Sample]) -> Tuple[Sample, Sample, float]:
-    """Time two functions in interleaved pairs; return bests and speedup.
+def calibration_loop(n: int = 30_000) -> Sample:
+    """A fixed pure-Python workload, the yardstick for every ratio.
 
-    Each function returns a sample with its timed ``"seconds"``.  Each
-    of the ``repeats`` rounds times both back to back, alternating which
-    goes first.  Returned are each side's fastest sample (the reported
-    host rates) and the median over rounds of ``slow / fast`` seconds
-    (the speedup).  On a shared host the achievable speed drifts in
-    stretches longer than one sample, so a ratio of two independent
-    best-ofs can pair one side's best from a quiet stretch with the
-    other's from a busy one; the two samples of a round share their
-    stretch, and the median drops a round split by a change of pace.
+    It exercises what the simulator spends its host time on (a heap of
+    ``(when, seq, fn, arg)`` items, generator resumptions, bound-method
+    calls, attribute and dict traffic) and never changes, so a bench's
+    seconds divided into the loop's measure the bench, not the host.
     """
-    best_fast = best_slow = None
+    class Actor:
+        __slots__ = ("state", "gen")
+
+        def __init__(self) -> None:
+            self.state = 0
+            self.gen = self.body()
+            next(self.gen)
+
+        def body(self):
+            while True:
+                value = yield
+                self.state = (self.state * 31 + value) & 0xFFFF
+
+        def step(self, value: int) -> None:
+            self.gen.send(value)
+
+    actors = [Actor() for _ in range(16)]
+    table: Dict[int, int] = {}
+    heap: list = []
+    with quiesced_gc():
+        t0 = time.perf_counter()   # det: allow(wall-clock)
+        for i in range(n):
+            heapq.heappush(heap, ((i * 7919) % 97, i, actors[i & 15].step, i))
+            if len(heap) > 32:
+                _when, seq, fn, arg = heapq.heappop(heap)
+                fn(arg)
+                table[seq & 1023] = table.get(seq & 1023, 0) + 1
+        dt = time.perf_counter() - t0   # det: allow(wall-clock)
+    return {"seconds": dt}
+
+
+def calibrated(repeats: int, bench: Callable[[], Sample]
+               ) -> Tuple[Sample, float]:
+    """Time ``bench`` against :func:`calibration_loop`; return the
+    bench's fastest sample and its calibration ratio.
+
+    ``bench`` returns a sample with its timed ``"seconds"``.  Each of
+    the ``repeats`` rounds times both back to back, alternating which
+    goes first; the ratio is the median over rounds of calibration
+    seconds / bench seconds.  On a shared host the achievable speed
+    drifts in stretches longer than one sample, so a ratio of two
+    independent best-ofs can pair one side's best from a quiet stretch
+    with the other's from a busy one; the two samples of a round share
+    their stretch, and the median drops a round split by a change of
+    pace.
+    """
+    best = None
     ratios = []
     for i in range(max(1, repeats)):
         if i % 2:
-            s = slow()
-            f = fast()
+            calib = calibration_loop()
+            sample = bench()
         else:
-            f = fast()
-            s = slow()
-        ratios.append(s["seconds"] / f["seconds"])
-        if best_fast is None or f["seconds"] < best_fast["seconds"]:
-            best_fast = f
-        if best_slow is None or s["seconds"] < best_slow["seconds"]:
-            best_slow = s
-    return best_fast, best_slow, statistics.median(ratios)
+            sample = bench()
+            calib = calibration_loop()
+        ratios.append(calib["seconds"] / sample["seconds"])
+        if best is None or sample["seconds"] < best["seconds"]:
+            best = sample
+    return best, statistics.median(ratios)
 
 
-def _bench_events(engine_factory: Callable, n_yields: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_events(n_yields: int) -> Dict[str, float]:
+    eng = Engine()
 
     def ticker(n):
         for _ in range(n):
@@ -108,8 +147,8 @@ def _bench_events(engine_factory: Callable, n_yields: int) -> Dict[str, float]:
             "rate": eng.events_fired / dt}
 
 
-def _bench_port(engine_factory: Callable, n_reads: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_port(n_reads: int) -> Dict[str, float]:
+    eng = Engine()
     clock = ClockDomain(eng, 125.0, name="bench")
     heap = Heap()
     dram = DramModel(eng, clock, heap)
@@ -129,8 +168,8 @@ def _bench_port(engine_factory: Callable, n_reads: int) -> Dict[str, float]:
             "rate": n_reads / dt}
 
 
-def _bench_channel(engine_factory: Callable, n_msgs: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_channel(n_msgs: int) -> Dict[str, float]:
+    eng = Engine()
     fifo = Fifo(eng, capacity=16, name="bench")
 
     def producer(n):
@@ -153,7 +192,7 @@ def _bench_channel(engine_factory: Callable, n_msgs: int) -> Dict[str, float]:
 
 def run_microbenchmarks(smoke: bool = False,
                         repeats: int = 3) -> Dict[str, Dict[str, object]]:
-    """Time each primitive on both engines; report rates and speedups."""
+    """Time each primitive; report rates and calibration ratios."""
     sizes = {
         "events": 50_000 if smoke else 200_000,
         "port_roundtrips": 5_000 if smoke else 20_000,
@@ -167,19 +206,11 @@ def run_microbenchmarks(smoke: bool = False,
     out: Dict[str, Dict[str, object]] = {}
     for name, bench in benches.items():
         n = sizes[name]
-        fast, ref, speedup = paired_timing(
-            repeats, lambda: bench(Engine, n),
-            lambda: bench(ReferenceEngine, n))
-        if fast["events"] != ref["events"] and name == "events":
-            # the ticker is pure engine; any event-count drift is a bug
-            raise RuntimeError(
-                f"microbench {name}: events_fired diverged "
-                f"(fast={fast['events']} reference={ref['events']})")
+        best, ratio = calibrated(repeats, lambda: bench(n))
         out[name] = {
             "n": n,
-            "rate_per_sec": fast["rate"],
-            "reference_rate_per_sec": ref["rate"],
-            "speedup_vs_reference": speedup,
-            "events_fired": fast["events"],
+            "rate_per_sec": best["rate"],
+            "ratio_vs_calibration": ratio,
+            "events_fired": best["events"],
         }
     return out

@@ -16,9 +16,8 @@ Hot-path layout
 The engine executes tens of thousands of host operations per simulated
 microsecond, so the scheduling core is written for throughput while
 keeping the *simulated* timing bit-identical to the straightforward
-heap-of-events implementation it replaced
-(:mod:`repro.perf.refengine` keeps that implementation alive as the
-cycle-equivalence oracle):
+heap-of-events implementation it replaced (the golden fingerprints in
+:mod:`repro.perf.equivalence` pin that timing):
 
 * Work items are ``(when, seq, fn, arg)`` tuples; firing one is a
   single call ``fn(arg)``.  Full :class:`Event` objects only exist
@@ -40,6 +39,9 @@ cycle-equivalence oracle):
 * A process that yields a plain number never materialises a Timeout at
   all: the resumption is scheduled as a callback guarded by a per-wait
   epoch (the epoch is also the O(1) interrupt tombstone).
+* A run with neither ``until`` nor ``max_events`` takes a loop without
+  the per-event limit checks; its merge of heap and ready-deque is the
+  general loop's, item for item.
 """
 
 from __future__ import annotations
@@ -488,39 +490,64 @@ class Engine:
         # read it mid-run — the only consumer, _maybe_crash, gets a
         # synced value, and the finally republishes it on every exit.
         base = self.events_fired
+        popleft = ready.popleft
         try:
-            while not self._halted:
-                if ready:
-                    # Same-time heap entries (lower seq) fire before the deque.
-                    if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
+            if unbounded and unwatched:
+                # the common case, without the limit checks: the same
+                # merge of heap and ready-deque, one item per turn
+                while True:
+                    if ready:
+                        if heap and heap[0][1] < ready[0][0] \
+                                and heap[0][0] <= self.now:
+                            self.now, _seq, fn, arg = heappop(heap)
+                        else:
+                            _seq, fn, arg = popleft()
+                    elif heap:
+                        self.now, _seq, fn, arg = heappop(heap)
+                    else:
+                        break
+                    fired += 1
+                    fn(arg)
+                    if self._halted:
+                        break
+                    if self.crash_at_fired is not None:
+                        self.events_fired = base + fired
+                        self._maybe_crash()
+            else:
+                while not self._halted:
+                    if ready:
+                        # Same-time heap entries (lower seq) fire before
+                        # the deque.
+                        if heap and heap[0][0] <= self.now \
+                                and heap[0][1] < ready[0][0]:
+                            from_heap = True
+                            when = heap[0][0]
+                        else:
+                            from_heap = False
+                            when = self.now
+                    elif heap:
                         from_heap = True
                         when = heap[0][0]
                     else:
-                        from_heap = False
-                        when = self.now
-                elif heap:
-                    from_heap = True
-                    when = heap[0][0]
-                else:
-                    break
-                if not unbounded and when > until:
-                    self.now = until
-                    return self.now
-                if not unwatched and fired >= max_events:
-                    raise SimulationError(
-                        f"watchdog: {fired} events fired without the heap "
-                        f"draining — runaway process?", now_ns=self.now,
-                        pending=len(heap) + len(ready))
-                if from_heap:
-                    when, _seq, fn, arg = heappop(heap)
-                    self.now = when
-                else:
-                    _seq, fn, arg = ready.popleft()
-                fired += 1
-                fn(arg)
-                if self.crash_at_fired is not None:
-                    self.events_fired = base + fired
-                    self._maybe_crash()
+                        break
+                    if not unbounded and when > until:
+                        self.now = until
+                        return self.now
+                    if not unwatched and fired >= max_events:
+                        raise SimulationError(
+                            f"watchdog: {fired} events fired without the heap "
+                            f"draining — runaway process?", now_ns=self.now,
+                            pending=len(heap) + len(ready))
+                    if from_heap:
+                        when, _seq, fn, arg = heappop(heap)
+                        self.now = when
+                    else:
+                        _seq, fn, arg = popleft()
+                    fired += 1
+                    fn(arg)
+                    if self.crash_at_fired is not None:
+                        self.events_fired = base + fired
+                        self._maybe_crash()
         finally:
             self.events_fired = base + fired
         if not unbounded and not self._halted:

@@ -168,11 +168,8 @@ class MemoryPort:
         # Engine.call_fn_at instead of allocating a lambda per request
         self._launch_cb = self._launch
         self._complete_cb = self._complete
-        # the stock engine's work-item layout is known, so the hot path
-        # pushes (when, seq, fn, arg) items directly; any other
-        # Engine-shaped loop (e.g. the perf ReferenceEngine) goes
-        # through its _schedule_fn
-        self._stock_engine = type(self.engine) is Engine
+        # the heap's cell store, read and written at service time
+        self._cells = dram.heap._cells
 
     # -- public operations -------------------------------------------------
     def read(self, addr: int) -> Event:
@@ -198,7 +195,7 @@ class MemoryPort:
         position the event dispatch of :meth:`read` would occupy, so
         timing (and same-instant firing order) is identical — the only
         difference is that no :class:`Event` is allocated.  This is the
-        completion path of the compiled pipeline tier.
+        completion path of the hash pipeline's callback stages.
         """
         self._submit(_Request("read", addr, None, None, cb=fn, cb_arg=arg))
 
@@ -248,23 +245,16 @@ class MemoryPort:
                 dram._reads.value += 1
             else:
                 dram._writes.value += 1
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                heappush(engine._heap, (t_issue + dram.latency_ns, seq,
-                                        self._complete_cb, req))
-            else:
-                engine._schedule_fn(t_issue + dram.latency_ns,
-                                    self._complete_cb, req)
+            seq = engine._seq = engine._seq + 1
+            heappush(engine._heap, (t_issue + dram.latency_ns, seq,
+                                    self._complete_cb, req))
         else:
             # wait for the port's issue slot, then arbitrate the channel
             # *at that instant* — reserving channel slots early would let
             # one backlogged port starve other requesters of idle slots.
             self._next_issue = nxt + self.issue_interval_ns
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                heappush(engine._heap, (nxt, seq, self._launch_cb, req))
-            else:
-                engine._schedule_fn(nxt, self._launch_cb, req)
+            seq = engine._seq = engine._seq + 1
+            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
     def _issue(self, req: _Request) -> None:
         self._outstanding += 1
@@ -300,23 +290,20 @@ class MemoryPort:
             dram._writes.value += 1
         # t_issue >= now and latency > 0, so the completion always lands
         # on the heap — the same work item _schedule_fn would push
-        if self._stock_engine:
-            seq = engine._seq = engine._seq + 1
-            heappush(engine._heap, (t_issue + dram.latency_ns, seq,
-                                    self._complete_cb, req))
-        else:
-            engine._schedule_fn(t_issue + dram.latency_ns,
-                                self._complete_cb, req)
+        seq = engine._seq = engine._seq + 1
+        heappush(engine._heap, (t_issue + dram.latency_ns, seq,
+                                self._complete_cb, req))
 
     def _complete(self, req: _Request) -> None:
-        heap = self.dram.heap
-        if req.kind == "read":
-            value = heap.load(req.addr)
-        elif req.kind == "write":
-            heap.store(req.addr, req.value)
+        cells = self._cells
+        kind = req.kind
+        if kind == "read":
+            value = cells.get(req.addr)
+        elif kind == "write":
+            cells[req.addr] = req.value
             value = None
         else:  # rmw
-            req.apply_fn(heap.load(req.addr))
+            req.apply_fn(cells.get(req.addr))
             value = None
         self._outstanding -= 1
         if self._pending:
@@ -327,11 +314,8 @@ class MemoryPort:
         elif req.cb is not None:
             # same ready-deque slot the succeed() dispatch would take
             engine = self.engine
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                engine._ready.append((seq, req.cb, (req.cb_arg, value)))
-            else:
-                engine._schedule_fn(engine.now, req.cb, (req.cb_arg, value))
+            seq = engine._seq = engine._seq + 1
+            engine._ready.append((seq, req.cb, (req.cb_arg, value)))
 
 
 class Bram:

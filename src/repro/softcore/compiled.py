@@ -1,590 +1,796 @@
-"""Compiled-procedure execution tier (ROADMAP item 3).
+"""Compiled stored procedures: how the softcore executes every section.
 
-The interpreter in :mod:`repro.softcore.core` pays a host-side toll on
-every instruction of every transaction: ``_exec_section`` re-fetches
-the instruction, re-checks the tracer, dispatches through a chain of
-``isinstance`` tests in ``_exec_cpu``/``_exec_db`` (allocating a fresh
-generator per instruction for the ``yield from``), resolves operands
-against dataclass fields, and multiplies cycle charges into
-nanoseconds through ``ClockDomain.delay``.  None of that work depends
-on run-time data — a registered procedure's instruction sequence is
-frozen at registration — so this module flattens each section once
-into generated straight-line Python:
+A registered procedure's instruction sequence is frozen, so none of the
+per-instruction decoding (opcode dispatch, operand shape tests, cycle
+to nanosecond conversion) depends on run-time data.  At a procedure's
+first use each of its sections is turned into small generated Python
+generators:
 
 * operand resolution is specialised at compile time (register indices,
   immediates, block offsets and field numbers become literals),
 * cycle charges become precomputed nanosecond float literals,
-* branches become a basic-block dispatch loop over the section's CFG
-  (:func:`repro.analysis.cfg.build_cfg` — the same graphs the WCET
-  pass walks; each compiled procedure carries its
-  :class:`~repro.analysis.wcet.WcetReport` for introspection).
+* branches become a dispatch loop over the section's basic blocks,
+* bodies that never wait (building and dispatching a DB request, the
+  WRFIELD undo logging, the RET writeback) are helper calls, and so is
+  every malformed operand, which raises the same error at the same
+  simulated instant a straightforward instruction-by-instruction
+  execution would.
 
-Equivalence contract
---------------------
-The generated code preserves the interpreter's **event structure
-one-to-one**: every ``yield`` the interpreter performs (cycle charges,
-DRAM reads, CP-register waits, commit-protocol applies) appears at the
-same place with the same value, and every side effect (posted writes,
-dispatches, register updates) executes inline at the same position
-within the same engine work item.  This is deliberate and load-bearing,
-not an implementation shortcut: simulated DRAM channels are *shared*
-(`DramModel._channel_free`), so two requests issued at the same
-nanosecond by different actors are ordered by engine scheduling order —
-which depends on *when each actor's wake-up was scheduled*.  Collapsing
-several charges into one delay event moves the softcore's wake-ups
-earlier in scheduling order and flips those same-instant races,
-shifting per-transaction commit times by whole issue slots.  Keeping
-the item structure identical makes the compiled tier bit-identical on
-every fingerprint — ``events_fired`` included — while the speedup comes
-from making each resumption cheap.  ``repro.perf`` enforces this
-against the checked-in goldens.
+Generated code is bounded: a section is cut into *chunks* of whole
+basic blocks, each compiled on its own (one ``compile()`` call of at
+most about :data:`CHUNK_INSTRUCTIONS` instructions), and a section of
+several chunks is driven with ``yield from``.  No source text is kept:
+code objects are cached under a digest of their source, so a workload
+registered again in a fresh machine skips ``compile()``.
 
-Fallback
---------
-``compile_procedure`` *declines* (returns an interpreter fallback)
-rather than guess: mid-section ``COMMIT``/``ABORT`` terminators,
-unresolved branch targets, unknown tables and unexpected operand
-shapes all fall back to ``_exec_section``, per section.  Tracing and
-``dynamic_scheduling`` force the interpreter path wholesale (the trace
-lines and the blocked-RET protocol only exist there).
+Timing contract
+---------------
+Execution is modelled one instruction at a time: each CPU instruction
+charges ``cpu_inst_cycles`` (RET ``ret_cycles``, WRFIELD additionally
+``wrfield_cycles``), each DB instruction a Prepare and a Dispatch step,
+and tuple-field accesses go through the context's line buffer.  The
+generated code yields every one of those charges and waits separately,
+in order, and performs each side effect (posted writes, dispatches,
+register updates) inside the same engine work item as its instruction.
+That is load-bearing: simulated DRAM channels are shared, so two
+requests issued at the same nanosecond by different actors are ordered
+by when each actor's wake-up was scheduled.  Coalescing two charges
+into one delay moves the softcore's wake-ups and flips those
+same-instant races.
+
+Three modes change the generated code, never the timing:
+
+* a section's ``COMMIT``/``ABORT`` may sit anywhere; in a handler the
+  protocol runs and execution continues with the next instruction,
+* under ``dynamic_scheduling`` a logic-section ``RET`` whose CP
+  register is still pending yields :data:`BLOCKED` to the softcore,
+  which switches transactions and resumes the same generator later; the
+  resumed ``RET`` executes again (counted, traced and charged again),
+* with a tracer attached each instruction emits its trace line first.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import hashlib
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
-from ..analysis.cfg import EXIT, Cfg, build_cfg
-from ..analysis.wcet import WcetModel, WcetReport, analyze_wcet
+from ..errors import BionicError
 from ..index.common import DbRequest
 from ..isa.instructions import (
     BRANCH_OPCODES, BlockRef, FieldRef, Gp, Imm, Instruction, Opcode, Section,
 )
 from ..mem.txnblock import TxnStatus, UndoEntry
-from ..txn.cc import ResultCode
+from ..txn.cc import ResultCode, abort_write, commit_record
 from .catalogue import ProcedureEntry
 
-__all__ = ["CompiledTier", "CompiledProcedure", "compile_procedure",
-           "CompileDeclined"]
+__all__ = ["BLOCKED", "CHUNK_INSTRUCTIONS", "CompiledProcedure",
+           "CompiledTier", "ExecutionError"]
 
 
-class CompileDeclined(Exception):
-    """A construct the compiler will not prove equivalent (fallback)."""
+class ExecutionError(BionicError, RuntimeError):
+    """Raised for malformed runtime situations (bad operand, etc.)."""
 
 
-#: generated-source -> code object.  The source text embeds every
-#: specialised quantity (cycle charges, register indices, offsets), so
-#: identical source means identical code; only the ``K`` constant list
-#: lives in the exec namespace.  Re-registering the same workload in a
-#: fresh BionicDB (sweep points, best-of-N timing repeats) then skips
-#: ``builtins.compile`` entirely — the dominant codegen cost.
-_CODE_CACHE: Dict[str, Any] = {}
-_CODE_CACHE_CAP = 256
+#: unit id of "execution leaves the section"
+EXIT = -1
+
+#: yielded by a logic section whose RET found its CP register pending
+#: under dynamic scheduling; never reaches the engine
+BLOCKED = object()
+
+#: instructions per compiled unit (a chunk of whole basic blocks; a
+#: single block longer than this is one chunk of its own)
+CHUNK_INSTRUCTIONS = 48
+
+#: source digest -> code object; bounded FIFO
+_CODE_CACHE: Dict[bytes, Any] = {}
+_CODE_CACHE_CAP = 512
+
+_OK = ResultCode.OK
+_NOT_FOUND = ResultCode.NOT_FOUND
+_SCANS = (Opcode.SCAN, Opcode.RANGE_SCAN)
+
+
+# -- run-time helpers (bound into every generated chunk) ----------------------
+
+def _bad_operand(operand):
+    raise ExecutionError(f"bad value operand {operand!r}")
+
+
+def _fail(message: str):
+    raise ExecutionError(message)
+
+
+def _trace(sc, ctx, text: str) -> None:
+    sc.tracer.emit("softcore", f"w{sc.worker_id}", f"txn={ctx.txn_id} {text}")
+
+
+def _div(a, b):
+    return a // b if isinstance(a, int) and isinstance(b, int) else a / b
+
+
+def _value(sc, ctx, operand):
+    """An Imm/Gp operand's value (the generic, unspecialised form)."""
+    if isinstance(operand, Imm):
+        return operand.value
+    if isinstance(operand, Gp):
+        return sc.gp.read(ctx.gp_base + operand.n)
+    _bad_operand(operand)
+
+
+def _block_off(sc, ctx, ref) -> int:
+    """A block reference's offset from the block's data base."""
+    offset = ref.offset
+    if isinstance(offset, Gp):
+        offset = sc.gp.read(ctx.gp_base + offset.n)
+    return int(offset) + ref.extra
+
+
+def _cell(sc, ctx, offset: int):
+    """A block cell, from the working-set buffer when it holds it."""
+    ws = ctx.working_set
+    if 0 <= offset < len(ws):
+        return ws[offset]
+    return sc.dram.direct_read(ctx.block.data_base + offset)
+
+
+def _operand_value(sc, ctx, operand):
+    """Imm/Gp value or block cell (the RANGE_SCAN high key)."""
+    if isinstance(operand, BlockRef):
+        return _cell(sc, ctx, _block_off(sc, ctx, operand))
+    return _value(sc, ctx, operand)
+
+
+def _load_field(record, addr, field):
+    if record is None:
+        raise ExecutionError(f"LOAD from empty cell {addr}")
+    return record.fields[field]
+
+
+def _store_cell(port, ctx, value, offset: int) -> None:
+    ws = ctx.working_set
+    if 0 <= offset < len(ws):
+        ws[offset] = value
+    port.post_write(ctx.block.data_base + offset, value)
 
 
 def _store_field_fixup(field: int, value):
-    """The STORE-to-field masked-line apply (interpreter ``_store``)."""
     def apply(record):
         record.fields[field] = value
     return apply
 
 
-class _Emitter:
-    """Indented-source builder for one generated section function."""
+def _wrfield(port, ctx, addr, record, field: int, value) -> None:
+    """Backup-and-write: UNDO-log the old field value, then update the
+    tuple in place (§4.7 UPDATE semantics).  The tuple is dirty-locked
+    by this transaction's UPDATE, so no reader can observe the window;
+    the posted write accounts for the masked-line store."""
+    if record is None:
+        raise ExecutionError(f"WRFIELD on empty cell {addr}")
+    entry = UndoEntry(tuple_addr=addr, field=field,
+                      old_value=record.fields[field])
+    undo = ctx.undo
+    undo.append(entry)
+    block = ctx.block
+    slot = block.undo_slot(len(undo) - 1)
+    block.header.undo_count = len(undo)
+    port.post_write(slot, entry)
+    record.fields[field] = value
+    port.post_write(addr, record)
 
-    def __init__(self, prefix: str):
-        self.out: List[str] = []
-        self.prefix = prefix
 
-    def body(self, line: str) -> None:
-        self.out.append(self.prefix + line)
+def _ret(ctx, gp, dst: int, op, result) -> bool:
+    """RET writeback; True when the result fails the transaction."""
+    if result.code is _OK:
+        gp[dst] = result.value if op in _SCANS else result.tuple_addr
+        return False
+    ctx.failed = True
+    if ctx.fail_reason is None:
+        ctx.fail_reason = f"{op.value}: {result.code.name}"
+    return True
+
+
+def _retn(ctx, gp, dst: int, op, result) -> bool:
+    """Null-tolerant RET: absence is data, not an error."""
+    if result.code is _NOT_FOUND:
+        gp[dst] = 0
+        return False
+    return _ret(ctx, gp, dst, op, result)
+
+
+def _voluntary_abort(ctx) -> None:
+    ctx.failed = True
+    if ctx.fail_reason is None:
+        ctx.fail_reason = "voluntary abort"
+
+
+def _commit(sc, ctx, entry_ns: float):
+    """The commit protocol (§4.7): clear dirty marks and stamp the
+    commit timestamp on every written tuple, then publish the header."""
+    port = sc.port
+    ts = ctx.begin_ts
+    last = None
+    for entry in ctx.write_set:
+        yield entry_ns
+        last = port.apply(entry.tuple_addr, _commit_fixup(ts))
+    if last is not None:
+        yield last
+    header = ctx.block.header
+    header.status = TxnStatus.COMMITTED
+    header.commit_ts = ts
+    port.post_write(ctx.block.base, header)
+    sc._committed.add()
+    if sc.tracer.enabled:
+        sc.tracer.emit("txn", f"w{sc.worker_id}",
+                       f"txn={ctx.txn_id} COMMIT ts={ts} "
+                       f"writes={len(ctx.write_set)}")
+
+
+def _abort(sc, ctx, entry_ns: float):
+    """The abort protocol (§4.7): restore overwritten fields from the
+    UNDO log, newest first, then clear dirty marks (aborted inserts
+    become tombstones) and publish the header."""
+    port = sc.port
+    last = None
+    for entry in reversed(ctx.undo):
+        yield entry_ns
+        last = port.apply(entry.tuple_addr, _restore_fixup(entry))
+    for wse in ctx.write_set:
+        yield entry_ns
+        last = port.apply(wse.tuple_addr,
+                          _abort_fixup(wse.op is Opcode.INSERT))
+    if last is not None:
+        yield last
+    header = ctx.block.header
+    header.status = TxnStatus.ABORTED
+    header.abort_reason = ctx.fail_reason
+    port.post_write(ctx.block.base, header)
+    sc._aborted.add()
+    if sc.tracer.enabled:
+        sc.tracer.emit("txn", f"w{sc.worker_id}",
+                       f"txn={ctx.txn_id} ABORT ({ctx.fail_reason})")
+
+
+def _commit_fixup(commit_ts: int):
+    def apply(record):
+        commit_record(record, commit_ts)
+    return apply
+
+
+def _restore_fixup(entry: UndoEntry):
+    def apply(record):
+        record.fields[entry.field] = entry.old_value
+    return apply
+
+
+def _abort_fixup(was_insert: bool):
+    def apply(record):
+        abort_write(record, was_insert=was_insert)
+    return apply
+
+
+# -- DB instruction sites -----------------------------------------------------
+
+def _db_prepare(inst: Instruction, table_known: bool) -> Callable:
+    """The Prepare step of one DB instruction, specialised to its key
+    operand: ``prep(sc, ctx) -> (key_addr, key_value, route_key,
+    insert_payload, destination)``."""
+    table = inst.table
+    key = inst.key
+    insert = inst.opcode is Opcode.INSERT
+    if isinstance(key, Gp):
+        kn = key.n
+
+        def prep(sc, ctx):
+            value = sc.gp._regs[ctx.gp_base + kn]
+            payload = None
+            if insert and isinstance(value, tuple) and len(value) == 2:
+                value, payload = value
+            return None, value, value, payload, sc.route(table, value)
+    else:
+        # a block cell: the coprocessor's KeyFetch stage reads it from
+        # DRAM; the softcore routes by its working-set copy
+        fixed = (key.offset + key.extra if isinstance(key, BlockRef)
+                 and type(key.offset) is int and type(key.extra) is int
+                 else None)
+
+        def prep(sc, ctx):
+            offset = fixed if fixed is not None else _block_off(sc, ctx, key)
+            addr = ctx.block.data_base + offset
+            ws = ctx.working_set
+            cell = (ws[offset] if 0 <= offset < len(ws)
+                    else sc.dram.direct_read(addr))
+            route_key = cell
+            if insert and isinstance(cell, tuple) and len(cell) == 2:
+                route_key = cell[0]
+            return addr, None, route_key, None, sc.route(table, route_key)
+    if table_known:
+        return prep
+    checked = prep
+
+    def prep(sc, ctx):
+        sc.catalogue.schemas.table(table)   # raises: the table is unknown
+        return checked(sc, ctx)
+    return prep
+
+
+def _db_dispatch(inst: Instruction) -> Callable:
+    """The Dispatch step: claim the CP register and hand the request to
+    the coprocessor or the channels (asynchronously)."""
+    op, table, cpn = inst.opcode, inst.table, inst.cp.n
+    payload_ref = (inst.b if op is Opcode.INSERT
+                   and isinstance(inst.b, BlockRef) else None)
+    scan = op in _SCANS
+    high = inst.b if op is Opcode.RANGE_SCAN else None
+
+    def dispatch(sc, ctx, prepared) -> None:
+        key_addr, key_value, route_key, payload, dst = prepared
+        i = ctx.cp_base + cpn
+        sc.cp.mark_pending(i, op)
+        sc._cp_owner[i] = ctx
+        sc._pending_info[i] = (op, table)
+        block = ctx.block
+        req = DbRequest(op=op, table_id=table, ts=ctx.begin_ts,
+                        txn_id=block.txn_id, key_addr=key_addr,
+                        key_value=key_value, insert_payload=payload,
+                        src_worker=sc.worker_id, cp_index=i,
+                        route_key=route_key)
+        if payload_ref is not None:
+            req.payload_addr = block.data_base + _block_off(sc, ctx,
+                                                            payload_ref)
+        if scan:
+            req.scan_count = int(_value(sc, ctx, inst.a))
+            req.scan_out_addr = block.data_base + _block_off(sc, ctx,
+                                                             inst.addr)
+            req.scan_limit = block.layout.n_scan
+            if high is not None:
+                req.scan_hi = _operand_value(sc, ctx, high)
+        ctx.outstanding += 1
+        sc._db_insts.value += 1
+        if dst is not None and dst != sc.worker_id:
+            sc._remote_insts.value += 1
+        sc.dispatch(req, dst)
+    return dispatch
+
+
+# -- code generation ----------------------------------------------------------
+
+_BRANCH_CONDITIONS = {
+    Opcode.BE: "ctx.zero",
+    Opcode.BNE: "not ctx.zero",
+    Opcode.BLT: "ctx.neg",
+    Opcode.BLE: "ctx.neg or ctx.zero",
+    Opcode.BGT: "not (ctx.neg or ctx.zero)",
+    Opcode.BGE: "not ctx.neg",
+}
+
+_ALU = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
+
+
+class _Unit(NamedTuple):
+    """Instructions ``[start, end)`` of a section: a basic block, or a
+    piece of one longer than a chunk."""
+
+    uid: int
+    start: int
+    end: int
+
+_HELPERS = {
+    "BLOCKED": BLOCKED, "_bad": _bad_operand, "_fail": _fail,
+    "_tr": _trace, "_div": _div, "_boff": _block_off, "_lf": _load_field,
+    "_stc": _store_cell, "_sff": _store_field_fixup, "_wrf": _wrfield,
+    "_ret": _ret, "_retn": _retn, "_vab": _voluntary_abort,
+    "_commit": _commit, "_abort": _abort,
+}
 
 
 class _SectionCompiler:
-    """Generates one section's specialised generator function."""
+    """Generates one section's chunks and the callable that runs them."""
 
-    def __init__(self, softcore, entry: ProcedureEntry, section: Section):
-        self.sc = softcore
+    def __init__(self, softcore, entry: ProcedureEntry, section: Section,
+                 traced: bool):
         self.entry = entry
         self.section = section
+        self.traced = traced
+        self.logic = section is Section.LOGIC
         cfg = softcore.config
-        ns = softcore.clock.ns_per_cycle
-        self.c_cpu = cfg.cpu_inst_cycles * ns
-        self.c_ret = cfg.ret_cycles * ns
-        self.c_prep = cfg.db_prepare_cycles * ns
-        self.c_disp = cfg.db_dispatch_cycles * ns
-        self.c_wrfield = cfg.wrfield_cycles * ns
-        self.c_commit_entry = cfg.commit_cycles_per_entry * ns
+        self.dynamic = (self.logic and cfg.dynamic_scheduling
+                        and cfg.interleaving)
         self.line_buffer = cfg.line_buffer
+        ns = softcore.clock.ns_per_cycle
+        self.c_cpu = repr(cfg.cpu_inst_cycles * ns)
+        self.c_ret = repr(cfg.ret_cycles * ns)
+        self.c_prep = repr(cfg.db_prepare_cycles * ns)
+        self.c_disp = repr(cfg.db_dispatch_cycles * ns)
+        self.c_wrfield = repr(cfg.wrfield_cycles * ns)
+        self.c_entry = repr(cfg.commit_cycles_per_entry * ns)
+        self.tables = softcore.catalogue.schemas
         self.consts: List[Any] = []
-        self.ns_globals: Dict[str, Any] = {
-            "DbRequest": DbRequest,
-            "UndoEntry": UndoEntry,
-            "ExecutionError": _execution_error(),
-            "OK": ResultCode.OK,
-            "NF": ResultCode.NOT_FOUND,
-            "ST_COMMITTED": TxnStatus.COMMITTED,
-            "ST_ABORTED": TxnStatus.ABORTED,
-            "SEC": section,
-            "K": self.consts,
-            "C_CE": self.c_commit_entry,
-            "_SF": _store_field_fixup,
-            "_CF": type(softcore)._commit_fixup,
-            "_RF": type(softcore)._restore_fixup,
-            "_AF": type(softcore)._abort_fixup,
-            "OP_SCAN": Opcode.SCAN,
-            "OP_RANGE_SCAN": Opcode.RANGE_SCAN,
-            "OP_INSERT": Opcode.INSERT,
-        }
+        self.names: Dict[str, Any] = {}
 
-    # -- operand expressions ---------------------------------------------
+    # -- operands ------------------------------------------------------------
     def _const(self, value: Any) -> str:
-        if value is None or type(value) in (int, bool, str, float):
+        if value is None or type(value) in (int, bool, str):
+            return repr(value)
+        if type(value) is float and value == value and abs(value) < 1e308:
             return repr(value)
         self.consts.append(value)
         return f"K[{len(self.consts) - 1}]"
 
-    def _vexpr(self, operand) -> str:
-        """An Imm/Gp value operand (interpreter ``_value``)."""
+    def _value(self, operand) -> str:
         if isinstance(operand, Imm):
             return self._const(operand.value)
         if isinstance(operand, Gp):
             return f"gp[gpb+{operand.n}]"
-        raise CompileDeclined(f"bad value operand {operand!r}")
+        return f"_bad({self._const(operand)})"
 
-    def _offexpr(self, ref: BlockRef) -> str:
-        """Block-relative offset (interpreter ``_block_addr`` minus base)."""
-        if isinstance(ref.offset, Gp):
+    def _offset(self, ref) -> str:
+        if (isinstance(ref, BlockRef) and type(ref.offset) is int
+                and type(ref.extra) is int):
+            return repr(ref.offset + ref.extra)
+        if (isinstance(ref, BlockRef) and isinstance(ref.offset, Gp)
+                and type(ref.extra) is int):
             return f"int(gp[gpb+{ref.offset.n}]) + {ref.extra}"
-        return repr(int(ref.offset) + ref.extra)
+        return f"_boff(sc, ctx, {self._const(ref)})"
 
-    def _opconst(self, op: Opcode) -> str:
-        name = f"OP_{op.name}"
-        self.ns_globals[name] = op
+    def _bind(self, prefix: str, value: Any) -> str:
+        name = f"{prefix}{len(self.names)}"
+        self.names[name] = value
         return name
 
-    # -- compilation entry point -----------------------------------------
-    def compile(self):
-        insts = self.entry.program.section(self.section)
-        self._check_section(insts)
-        cfg = build_cfg(self.entry.program, self.section)
-        if cfg.bad_targets:
-            raise CompileDeclined(f"unresolved branch targets: {cfg.bad_targets}")
-        has_branches = any(i.opcode in BRANCH_OPCODES for i in insts)
-
-        fn_name = _fn_name(self.entry.program.name, self.section)
-        header = [
-            f"def {fn_name}(sc, ctx):",
-            "    port = sc.port",
-            "    gp = sc.gp._regs",
-            "    gpb = ctx.gp_base",
-            "    cpb = ctx.cp_base",
-            "    ws = ctx.working_set",
-            "    dbase = ctx.block.data_base",
-            "    ic = sc._insts",
-            "    ctx.section = SEC",
-            "    ctx.pc = 0",
-        ]
-        e = _Emitter(prefix="    ")
-        if not insts:
-            e.body("return")
-            e.body("yield  # unreachable: keeps this a generator")
-        elif not has_branches:
-            for blk in cfg.blocks:
-                self._emit_block(e, cfg, blk, linear=True)
-        else:
-            reachable = cfg.reachable()
-            e.body("bb = 0")
-            e.body("while bb >= 0:")
-            first = True
-            for blk in cfg.blocks:
-                if blk.bid not in reachable:
-                    continue
-                kw = "if" if first else "elif"
-                first = False
-                e.body(f"    {kw} bb == {blk.bid}:")
-                inner = _Emitter(prefix=" " * 12)
-                self._emit_block(inner, cfg, blk, linear=False)
-                e.out.extend(inner.out)
-        src = "\n".join(header + e.out) + "\n"
-        code = _CODE_CACHE.get(src)
-        if code is None:
-            code = compile(src, f"<repro.compiled {self.entry.program.name}"
-                                f".{self.section.value}>", "exec")
-            if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
-                # FIFO eviction, same policy as the sdbm memo
-                del _CODE_CACHE[next(iter(_CODE_CACHE))]
-            _CODE_CACHE[src] = code
-        namespace = dict(self.ns_globals)
-        exec(code, namespace)
-        return namespace[fn_name], src
-
-    def _check_section(self, insts: List[Instruction]) -> None:
+    # -- section layout ------------------------------------------------------
+    def compile(self) -> Callable:
+        program = self.entry.program
+        insts = self.insts = program.section(self.section)
+        n = len(insts)
+        if not n:
+            return _empty_section
+        # basic blocks (a leader is the entry, a branch target or the
+        # instruction after a branch), cut so no unit exceeds a chunk
+        leaders = {0}
         for i, inst in enumerate(insts):
-            op = inst.opcode
-            if op is Opcode.COMMIT:
-                if self.section is Section.LOGIC:
-                    raise CompileDeclined("COMMIT inside transaction logic")
-                if i != len(insts) - 1:
-                    raise CompileDeclined("COMMIT is not the section terminator")
-            elif op is Opcode.ABORT and self.section is not Section.LOGIC:
-                if i != len(insts) - 1:
-                    raise CompileDeclined("ABORT is not the section terminator")
+            if inst.opcode in BRANCH_OPCODES:
+                if type(inst.target) is int and 0 <= inst.target < n:
+                    leaders.add(inst.target)
+                if i + 1 < n:
+                    leaders.add(i + 1)
+        starts = sorted(leaders) + [n]
+        units: List[_Unit] = []
+        for start, end in zip(starts, starts[1:]):
+            for lo in range(start, end, CHUNK_INSTRUCTIONS):
+                units.append(_Unit(len(units), lo,
+                                   min(lo + CHUNK_INSTRUCTIONS, end)))
+        self.unit_at = [0] * n
+        for unit in units:
+            for i in range(unit.start, unit.end):
+                self.unit_at[i] = unit.uid
+        succs = {}
+        for unit in units:
+            last = insts[unit.end - 1]
+            out = []
+            if last.opcode in BRANCH_OPCODES:
+                target = self._target_unit(last.target)
+                if target is not None:
+                    out.append(target)
+                if last.opcode is not Opcode.JMP:
+                    out.append(self._next_unit(unit.end))
+            else:
+                # COMMIT/ABORT in a handler fall through as well
+                out.append(self._next_unit(unit.end))
+            succs[unit.uid] = out
+        reachable, stack = set(), [0]
+        while stack:
+            uid = stack.pop()
+            if uid != EXIT and uid not in reachable:
+                reachable.add(uid)
+                stack.extend(succs[uid])
+        self.has_branches = any(i.opcode in BRANCH_OPCODES for i in insts)
 
-    # -- block / instruction emission -------------------------------------
-    def _emit_block(self, e: _Emitter, cfg: Cfg, blk, linear: bool) -> None:
-        n = len(cfg.insts)
-        logic = self.section is Section.LOGIC
-        for i in range(blk.start, blk.end):
-            inst = cfg.insts[i]
-            e.body("ic.value += 1")
-            self._emit_inst(e, cfg, inst, i)
-            if logic:
-                # a DB result delivered during any of this instruction's
-                # waits may have failed the transaction; the abort
-                # handler runs in phase two (interpreter boundary check)
-                e.body("if ctx.failed:")
-                e.body("    return")
-        last = cfg.insts[blk.end - 1]
-        if last.opcode in BRANCH_OPCODES:
-            return  # the branch emission set ``bb``
-        if last.opcode in (Opcode.COMMIT, Opcode.ABORT) and not logic:
-            return  # protocol emission returned
-        if not linear:
-            fall = EXIT if blk.end >= n else cfg.block_at[blk.end]
-            e.body(f"bb = {fall}")
+        chunks: List[List[_Unit]] = []
+        size = CHUNK_INSTRUCTIONS
+        for unit in units:
+            if unit.uid not in reachable:
+                continue
+            length = unit.end - unit.start
+            if chunks and size + length <= CHUNK_INSTRUCTIONS:
+                chunks[-1].append(unit)
+                size += length
+            else:
+                chunks.append([unit])
+                size = length
+        self.chunk_of = {unit.uid: k for k, chunk in enumerate(chunks)
+                         for unit in chunk}
 
-    def _emit_inst(self, e: _Emitter, cfg: Cfg, inst: Instruction,
-                   index: int) -> None:
-        op = inst.opcode
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV):
-            self._emit_alu(e, inst)
-        elif op is Opcode.MOV:
-            e.body(f"yield {self.c_cpu!r}")
-            e.body(f"gp[gpb+{inst.dst.n}] = {self._vexpr(inst.a)}")
-        elif op is Opcode.CMP:
-            e.body(f"yield {self.c_cpu!r}")
-            e.body(f"_a = {self._vexpr(inst.a)}")
-            e.body(f"_b = {self._vexpr(inst.b)}")
-            e.body("ctx.zero = _a == _b")
-            e.body("ctx.neg = _a < _b")
-        elif op is Opcode.NOP:
-            e.body(f"yield {self.c_cpu!r}")
-        elif op is Opcode.LOAD:
-            self._emit_load(e, inst)
-        elif op is Opcode.STORE:
-            self._emit_store(e, inst)
-        elif op is Opcode.WRFIELD:
-            self._emit_wrfield(e, inst)
-        elif op in BRANCH_OPCODES:
-            self._emit_branch(e, cfg, inst, index)
-        elif op in (Opcode.RET, Opcode.RETN):
-            self._emit_ret(e, inst)
-        elif op is Opcode.COMMIT:
-            self._emit_commit(e)
-        elif op is Opcode.ABORT:
-            self._emit_abort(e)
-        elif inst.is_db:
-            self._emit_db(e, inst)
+        fns = [self._compile_chunk(k, chunk)
+               for k, chunk in enumerate(chunks)]
+        if len(fns) == 1:
+            return fns[0]
+        table = [None] * len(units)
+        for uid, k in self.chunk_of.items():
+            table[uid] = fns[k]
+
+        def run_section(sc, ctx):
+            return _drive(table, sc, ctx)
+        return run_section
+
+    def _next_unit(self, index: int) -> int:
+        return EXIT if index >= len(self.insts) else self.unit_at[index]
+
+    def _target_unit(self, target) -> Optional[int]:
+        """Unit of a branch target, EXIT past the end, None when the
+        target is not a usable instruction index."""
+        if type(target) is not int or target < 0:
+            return None
+        return self._next_unit(target)
+
+    def _goto(self, e: List[str], ind: str, chunk: int, uid: int) -> None:
+        if uid == EXIT:
+            e.append(f"{ind}return -1")
+        elif self.chunk_of[uid] == chunk:
+            e.append(f"{ind}bb = {uid}")
         else:
-            raise CompileDeclined(f"unhandled opcode {op}")
+            e.append(f"{ind}return {uid}")
 
-    def _emit_alu(self, e: _Emitter, inst: Instruction) -> None:
-        op = inst.opcode
-        a, b = self._vexpr(inst.a), self._vexpr(inst.b)
-        d = inst.dst.n
-        e.body(f"yield {self.c_cpu!r}")
-        if op is Opcode.ADD:
-            e.body(f"gp[gpb+{d}] = {a} + {b}")
-        elif op is Opcode.SUB:
-            e.body(f"gp[gpb+{d}] = {a} - {b}")
-        elif op is Opcode.MUL:
-            e.body(f"gp[gpb+{d}] = {a} * {b}")
-        else:  # DIV: integer-only operands use floor division
-            e.body(f"_a = {a}")
-            e.body(f"_b = {b}")
-            e.body(f"gp[gpb+{d}] = _a // _b "
-                   "if isinstance(_a, int) and isinstance(_b, int) "
-                   "else _a / _b")
+    def _compile_chunk(self, k: int, units: List["_Unit"]) -> Callable:
+        self.consts = []
+        self.names = {}
+        body: List[str] = []
+        dispatch = self.has_branches
+        for j, unit in enumerate(units):
+            if dispatch:
+                kw = "if" if j == 0 else "elif"
+                body.append(f"        {kw} bb == {unit.uid}:")
+                ind = " " * 12
+            else:
+                ind = " " * 4
+            self._emit_unit(body, ind, k, unit)
+        head = [f"def _c(sc, ctx, bb={units[0].uid}):",
+                "    port = sc.port",
+                "    gp = sc.gp._regs",
+                "    gpb = ctx.gp_base",
+                "    cpb = ctx.cp_base",
+                "    ws = ctx.working_set",
+                "    dbase = ctx.block.data_base",
+                "    ic = sc._insts"]
+        if dispatch:
+            head.append("    while True:")
+        # unreachable; makes _c a generator even without a wait
+        body.append("    yield")
+        src = "\n".join(head + body) + "\n"
+        key = hashlib.blake2b(src.encode(), digest_size=16).digest()
+        code = _CODE_CACHE.get(key)
+        if code is None:
+            name = self.entry.program.name
+            code = compile(src, f"<repro.compiled {name}.{self.section.value}"
+                                f"#{k}>", "exec")
+            if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
+                del _CODE_CACHE[next(iter(_CODE_CACHE))]
+            _CODE_CACHE[key] = code
+        namespace = dict(_HELPERS)
+        namespace.update(self.names)
+        namespace["K"] = self.consts
+        exec(code, namespace)
+        return namespace["_c"]
 
-    def _emit_load(self, e: _Emitter, inst: Instruction) -> None:
-        d = inst.dst.n
-        e.body(f"yield {self.c_cpu!r}")
-        if isinstance(inst.addr, FieldRef):
-            e.body(f"_a = gp[gpb+{inst.addr.base.n}]")
-            self._emit_read_record(e)
-            e.body("if _r is None:")
-            e.body("    raise ExecutionError('LOAD from empty cell %s' % (_a,))")
-            e.body(f"gp[gpb+{d}] = _r.fields[{inst.addr.field}]")
-        elif isinstance(inst.addr, BlockRef):
-            e.body(f"_o = {self._offexpr(inst.addr)}")
-            e.body("if 0 <= _o < len(ws):")
-            e.body(f"    gp[gpb+{d}] = ws[_o]")
-            e.body("else:")
-            e.body(f"    gp[gpb+{d}] = yield port.read(dbase + _o)")
-        else:
-            raise CompileDeclined(f"bad LOAD address {inst.addr!r}")
-
-    def _emit_read_record(self, e: _Emitter) -> None:
-        """``_r = record at address _a`` via the tuple line buffer."""
-        if self.line_buffer:
-            e.body("if ctx.line_buf is not None and ctx.line_buf_addr == _a:")
-            e.body("    _r = ctx.line_buf")
-            e.body("else:")
-            pre = "    "
-        else:
-            pre = ""
-        e.body(pre + "_r = yield port.read(_a)")
-        e.body(pre + "ctx.line_buf_addr = _a")
-        e.body(pre + "ctx.line_buf = _r")
-
-    def _emit_store(self, e: _Emitter, inst: Instruction) -> None:
-        e.body(f"yield {self.c_cpu!r}")
-        if isinstance(inst.addr, FieldRef):
-            e.body(f"_a = gp[gpb+{inst.addr.base.n}]")
-            e.body(f"port.post_apply(_a, _SF({inst.addr.field}, "
-                   f"{self._vexpr(inst.a)}))")
-        elif isinstance(inst.addr, BlockRef):
-            e.body(f"_o = {self._offexpr(inst.addr)}")
-            e.body(f"_v = {self._vexpr(inst.a)}")
-            e.body("if 0 <= _o < len(ws):")
-            e.body("    ws[_o] = _v")
-            e.body("port.post_write(dbase + _o, _v)")
-        else:
-            raise CompileDeclined(f"bad STORE address {inst.addr!r}")
-
-    def _emit_wrfield(self, e: _Emitter, inst: Instruction) -> None:
-        ref: FieldRef = inst.addr
-        f = ref.field
-        e.body(f"yield {self.c_cpu!r}")
-        e.body(f"yield {self.c_wrfield!r}")
-        e.body(f"_a = gp[gpb+{ref.base.n}]")
-        e.body(f"_v = {self._vexpr(inst.a)}")
-        self._emit_read_record(e)
-        e.body("if _r is None:")
-        e.body("    raise ExecutionError('WRFIELD on empty cell %s' % (_a,))")
-        e.body(f"_e = UndoEntry(tuple_addr=_a, field={f}, "
-               f"old_value=_r.fields[{f}])")
-        e.body("ctx.undo.append(_e)")
-        e.body("_slot = ctx.block.undo_slot(len(ctx.undo) - 1)")
-        e.body("ctx.block.header.undo_count = len(ctx.undo)")
-        e.body("port.post_write(_slot, _e)")
-        e.body(f"_r.fields[{f}] = _v")
-        e.body("port.post_write(_a, _r)")
-
-    def _emit_branch(self, e: _Emitter, cfg: Cfg, inst: Instruction,
-                     index: int) -> None:
-        n = len(cfg.insts)
-        t = inst.target
-        if not isinstance(t, int) or not 0 <= t <= n:
-            raise CompileDeclined(f"unresolved branch target {t!r}")
-        tb = EXIT if t >= n else cfg.block_at[t]
-        e.body(f"yield {self.c_cpu!r}")
-        op = inst.opcode
-        if op is Opcode.JMP:
-            e.body(f"bb = {tb}")
+    def _emit_unit(self, e: List[str], ind: str, chunk: int,
+                   unit: "_Unit") -> None:
+        insts = self.insts
+        for i in range(unit.start, unit.end):
+            inst = insts[i]
+            e.append(f"{ind}ic.value += 1")
+            self._emit_trace(e, ind, i, inst)
+            self._emit_inst(e, ind, chunk, inst, i)
+            if self.logic and inst.opcode not in BRANCH_OPCODES:
+                # a DB result delivered during this instruction's waits
+                # may have failed the transaction: the abort handler
+                # runs in phase two
+                e.append(f"{ind}if ctx.failed: return -1")
+        if insts[unit.end - 1].opcode in BRANCH_OPCODES:
             return
-        # conditional: fall through to the next instruction's block
-        fall = EXIT if index + 1 >= n else cfg.block_at[index + 1]
-        cond = {
-            Opcode.BE: "ctx.zero",
-            Opcode.BNE: "not ctx.zero",
-            Opcode.BLT: "ctx.neg",
-            Opcode.BLE: "ctx.neg or ctx.zero",
-            Opcode.BGT: "not (ctx.neg or ctx.zero)",
-            Opcode.BGE: "not ctx.neg",
-        }[op]
-        e.body(f"bb = {tb} if ({cond}) else {fall}")
+        fall = self._next_unit(unit.end)
+        if not self.has_branches and fall != EXIT \
+                and self.chunk_of[fall] == chunk:
+            return          # straight-line: the next unit follows
+        self._goto(e, ind, chunk, fall)
 
-    def _emit_ret(self, e: _Emitter, inst: Instruction) -> None:
-        retn = inst.opcode is Opcode.RETN
-        d = inst.dst.n
-        e.body(f"yield {self.c_ret!r}")
-        e.body(f"_op, _res = yield sc.cp.wait_valid(cpb + {inst.cp.n})")
-        if retn:
-            e.body("if _res.code is NF:")
-            e.body(f"    gp[gpb+{d}] = 0")
-            e.body("elif _res.code is not OK:")
-        else:
-            e.body("if _res.code is not OK:")
-        e.body("    ctx.failed = True")
-        e.body("    if ctx.fail_reason is None:")
-        e.body("        ctx.fail_reason = _op.value + ': ' + _res.code.name")
-        if self.section is not Section.LOGIC:
-            e.body("    return")  # interpreter section trap
-        e.body("else:")
-        e.body(f"    gp[gpb+{d}] = (_res.value "
-               "if (_op is OP_SCAN or _op is OP_RANGE_SCAN) "
-               "else _res.tuple_addr)")
+    def _emit_trace(self, e: List[str], ind: str, i: int,
+                    inst: Instruction) -> None:
+        if self.traced:
+            text = f"{self.section.value}[{i}] {inst!r}"
+            e.append(f"{ind}_tr(sc, ctx, {text!r})")
 
-    def _emit_db(self, e: _Emitter, inst: Instruction) -> None:
+    # -- instructions ---------------------------------------------------------
+    def _emit_inst(self, e: List[str], ind: str, chunk: int,
+                   inst: Instruction, i: int) -> None:
         op = inst.opcode
-        try:
-            self.sc.catalogue.schemas.table(inst.table)
-        except Exception as exc:
-            raise CompileDeclined(f"unknown table {inst.table}: {exc}")
-        opn = self._opconst(op)
-        # Prepare: collect metadata (interpreter _exec_db + _resolve_key)
-        e.body(f"yield {self.c_prep!r}")
-        key = inst.key
-        if isinstance(key, Gp):
-            e.body(f"_kv = gp[gpb+{key.n}]")
-            if op is Opcode.INSERT:
-                e.body("if isinstance(_kv, tuple) and len(_kv) == 2:")
-                e.body("    _kv, _pl = _kv")
-                e.body("else:")
-                e.body("    _pl = None")
+        if inst.is_db:
+            self._emit_db(e, ind, inst)
+        elif op in (Opcode.RET, Opcode.RETN):
+            self._emit_ret(e, ind, inst, i)
+        elif op is Opcode.COMMIT:
+            if self.logic:
+                e.append(f"{ind}_fail('COMMIT outside a commit handler')")
             else:
-                e.body("_pl = None")
-            e.body("_ka = None")
-            e.body("_rk = _kv")
-        elif isinstance(key, BlockRef):
-            e.body(f"_o = {self._offexpr(key)}")
-            e.body("_ka = dbase + _o")
-            e.body("if 0 <= _o < len(ws):")
-            e.body("    _c = ws[_o]")
-            e.body("else:")
-            e.body("    _c = sc.dram.direct_read(_ka)")
-            if op is Opcode.INSERT:
-                e.body("_rk = _c[0] "
-                       "if isinstance(_c, tuple) and len(_c) == 2 else _c")
+                e.append(f"{ind}if ctx.failed: return -1")
+                e.append(f"{ind}yield from _commit(sc, ctx, {self.c_entry})")
+        elif op is Opcode.ABORT:
+            if self.logic:
+                e.append(f"{ind}_vab(ctx)")
             else:
-                e.body("_rk = _c")
-            e.body("_kv = None")
-            e.body("_pl = None")
+                e.append(f"{ind}yield from _abort(sc, ctx, {self.c_entry})")
         else:
-            raise CompileDeclined(f"bad key operand {key!r}")
-        e.body(f"_dst = sc.route({inst.table}, _rk)")
-        # Dispatch: asynchronous hand-off to the coprocessor / channels
-        e.body(f"yield {self.c_disp!r}")
-        e.body(f"_i = cpb + {inst.cp.n}")
-        e.body(f"sc.cp.mark_pending(_i, {opn})")
-        e.body("sc._cp_owner[_i] = ctx")
-        e.body(f"sc._pending_info[_i] = ({opn}, {inst.table})")
-        e.body(f"_req = DbRequest(op={opn}, table_id={inst.table}, "
-               "ts=ctx.begin_ts, txn_id=ctx.block.txn_id, key_addr=_ka, "
-               "key_value=_kv, insert_payload=_pl, src_worker=sc.worker_id, "
-               "cp_index=_i, route_key=_rk)")
-        if op is Opcode.INSERT and isinstance(inst.b, BlockRef):
-            e.body(f"_req.payload_addr = dbase + {self._offexpr(inst.b)}")
-        if op in (Opcode.SCAN, Opcode.RANGE_SCAN):
-            e.body(f"_req.scan_count = int({self._vexpr(inst.a)})")
-            e.body(f"_req.scan_out_addr = dbase + {self._offexpr(inst.addr)}")
-            e.body("_req.scan_limit = ctx.block.layout.n_scan")
-        if op is Opcode.RANGE_SCAN:
-            self._emit_operand_value(e, inst.b, "_hi")
-            e.body("_req.scan_hi = _hi")
-        e.body("ctx.outstanding += 1")
-        e.body("sc._db_insts.value += 1")
-        e.body("if _dst is not None and _dst != sc.worker_id:")
-        e.body("    sc._remote_insts.value += 1")
-        e.body("sc.dispatch(_req, _dst)")
+            e.append(f"{ind}yield {self.c_cpu}")
+            self._emit_cpu(e, ind, chunk, inst, i)
 
-    def _emit_operand_value(self, e: _Emitter, operand, var: str) -> None:
-        """Interpreter ``_operand_value``: Imm/Gp or a block cell."""
-        if isinstance(operand, BlockRef):
-            e.body(f"_ho = {self._offexpr(operand)}")
-            e.body("if 0 <= _ho < len(ws):")
-            e.body(f"    {var} = ws[_ho]")
-            e.body("else:")
-            e.body(f"    {var} = sc.dram.direct_read(dbase + _ho)")
+    def _emit_cpu(self, e: List[str], ind: str, chunk: int,
+                  inst: Instruction, i: int) -> None:
+        op = inst.opcode
+        if op in _ALU:
+            a, b = self._value(inst.a), self._value(inst.b)
+            e.append(f"{ind}gp[gpb+{inst.dst.n}] = {a} {_ALU[op]} {b}")
+        elif op is Opcode.DIV:
+            a, b = self._value(inst.a), self._value(inst.b)
+            e.append(f"{ind}gp[gpb+{inst.dst.n}] = _div({a}, {b})")
+        elif op is Opcode.MOV:
+            e.append(f"{ind}gp[gpb+{inst.dst.n}] = {self._value(inst.a)}")
+        elif op is Opcode.CMP:
+            e.append(f"{ind}_a = {self._value(inst.a)}")
+            e.append(f"{ind}_b = {self._value(inst.b)}")
+            e.append(f"{ind}ctx.zero = _a == _b")
+            e.append(f"{ind}ctx.neg = _a < _b")
+        elif op is Opcode.LOAD:
+            self._emit_load(e, ind, inst)
+        elif op is Opcode.STORE:
+            self._emit_store(e, ind, inst)
+        elif op is Opcode.WRFIELD:
+            ref = inst.addr
+            e.append(f"{ind}yield {self.c_wrfield}")
+            e.append(f"{ind}_a = gp[gpb+{ref.base.n}]")
+            e.append(f"{ind}_v = {self._value(inst.a)}")
+            self._emit_read_record(e, ind)
+            e.append(f"{ind}_wrf(port, ctx, _a, _r, {ref.field}, _v)")
+        elif op in BRANCH_OPCODES:
+            self._emit_branch(e, ind, chunk, inst, i)
+        elif op is not Opcode.NOP:
+            e.append(f"{ind}_fail({f'unhandled opcode {op}'!r})")
+
+    def _emit_read_record(self, e: List[str], ind: str) -> None:
+        """``_r`` = the tuple header line at ``_a``, via the line buffer."""
+        read = ("_r = yield port.read(_a); ctx.line_buf_addr = _a; "
+                "ctx.line_buf = _r")
+        if self.line_buffer:
+            e.append(f"{ind}_r = ctx.line_buf")
+            e.append(f"{ind}if _r is None or ctx.line_buf_addr != _a: {read}")
         else:
-            e.body(f"{var} = {self._vexpr(operand)}")
+            e.append(f"{ind}{read}")
 
-    def _emit_commit(self, e: _Emitter) -> None:
-        e.body("if ctx.failed:")
-        e.body("    return  # fall through to the abort handler")
-        e.body("_ts = ctx.begin_ts")
-        e.body("_lev = None")
-        e.body("for _e in ctx.write_set:")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_e.tuple_addr, _CF(_ts))")
-        e.body("if _lev is not None:")
-        e.body("    yield _lev")
-        e.body("_h = ctx.block.header")
-        e.body("_h.status = ST_COMMITTED")
-        e.body("_h.commit_ts = _ts")
-        e.body("port.post_write(ctx.block.base, _h)")
-        e.body("sc._committed.add()")
-        e.body("return")
+    def _emit_load(self, e: List[str], ind: str, inst: Instruction) -> None:
+        d = inst.dst.n
+        ref = inst.addr
+        if isinstance(ref, FieldRef):
+            e.append(f"{ind}_a = gp[gpb+{ref.base.n}]")
+            self._emit_read_record(e, ind)
+            e.append(f"{ind}gp[gpb+{d}] = _lf(_r, _a, {ref.field})")
+        else:
+            e.append(f"{ind}_o = {self._offset(ref)}")
+            e.append(f"{ind}if 0 <= _o < len(ws): gp[gpb+{d}] = ws[_o]")
+            e.append(f"{ind}else: gp[gpb+{d}] = yield port.read(dbase + _o)")
 
-    def _emit_abort(self, e: _Emitter) -> None:
-        if self.section is Section.LOGIC:
-            # voluntary abort: LOGIC exits via the failed flag, cycle-free
-            e.body("ctx.failed = True")
-            e.body("if ctx.fail_reason is None:")
-            e.body("    ctx.fail_reason = 'voluntary abort'")
-            return  # the post-instruction failed check returns
-        e.body("_lev = None")
-        e.body("for _e in reversed(ctx.undo):")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_e.tuple_addr, _RF(_e))")
-        e.body("for _w in ctx.write_set:")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_w.tuple_addr, _AF(_w.op is OP_INSERT))")
-        e.body("if _lev is not None:")
-        e.body("    yield _lev")
-        e.body("_h = ctx.block.header")
-        e.body("_h.status = ST_ABORTED")
-        e.body("_h.abort_reason = ctx.fail_reason")
-        e.body("port.post_write(ctx.block.base, _h)")
-        e.body("sc._aborted.add()")
-        e.body("return")
+    def _emit_store(self, e: List[str], ind: str, inst: Instruction) -> None:
+        ref = inst.addr
+        e.append(f"{ind}_v = {self._value(inst.a)}")
+        if isinstance(ref, FieldRef):
+            e.append(f"{ind}port.post_apply(gp[gpb+{ref.base.n}], "
+                     f"_sff({ref.field}, _v))")
+        else:
+            e.append(f"{ind}_stc(port, ctx, _v, {self._offset(ref)})")
+
+    def _emit_branch(self, e: List[str], ind: str, chunk: int,
+                     inst: Instruction, i: int) -> None:
+        target = self._target_unit(inst.target)
+        if target is None:
+            e.append(f"{ind}_fail({f'bad branch target {inst.target!r}'!r})")
+            return
+        if self.logic:
+            e.append(f"{ind}if ctx.failed: return -1")
+        if inst.opcode is Opcode.JMP:
+            self._goto(e, ind, chunk, target)
+            return
+        fall = self._next_unit(i + 1)
+        e.append(f"{ind}if {_BRANCH_CONDITIONS[inst.opcode]}:")
+        self._goto(e, ind + "    ", chunk, target)
+        e.append(f"{ind}else:")
+        self._goto(e, ind + "    ", chunk, fall)
+
+    def _emit_ret(self, e: List[str], ind: str, inst: Instruction,
+                  i: int) -> None:
+        e.append(f"{ind}yield {self.c_ret}")
+        e.append(f"{ind}_i = cpb + {inst.cp.n}")
+        if self.dynamic:
+            # switch transactions instead of stalling; the RET executes
+            # again when the softcore resumes this transaction
+            e.append(f"{ind}while not sc.cp.is_valid(_i):")
+            e.append(f"{ind}    ctx.blocked_on = _i")
+            e.append(f"{ind}    yield BLOCKED")
+            e.append(f"{ind}    ic.value += 1")
+            self._emit_trace(e, ind + "    ", i, inst)
+            e.append(f"{ind}    yield {self.c_ret}")
+        e.append(f"{ind}_op, _res = yield sc.cp.wait_valid(_i)")
+        helper = "_retn" if inst.opcode is Opcode.RETN else "_ret"
+        call = f"{helper}(ctx, gp, gpb + {inst.dst.n}, _op, _res)"
+        if self.logic:
+            e.append(f"{ind}{call}")
+        else:
+            e.append(f"{ind}if {call}: return -1")
+
+    def _emit_db(self, e: List[str], ind: str, inst: Instruction) -> None:
+        known = inst.table in {s.table_id for s in self.tables}
+        prep = self._bind("P", _db_prepare(inst, known))
+        disp = self._bind("D", _db_dispatch(inst))
+        e.append(f"{ind}yield {self.c_prep}")
+        e.append(f"{ind}_t = {prep}(sc, ctx)")
+        e.append(f"{ind}yield {self.c_disp}")
+        e.append(f"{ind}{disp}(sc, ctx, _t)")
 
 
-def _execution_error():
-    from .core import ExecutionError
-    return ExecutionError
+def _drive(chunks: list, sc, ctx):
+    """Run a section of several chunks, each returning the next block."""
+    bb = 0
+    while bb >= 0:
+        bb = yield from chunks[bb](sc, ctx, bb)
 
 
-def _fn_name(program_name: str, section: Section) -> str:
-    safe = "".join(c if c.isalnum() else "_" for c in program_name)
-    return f"_compiled_{safe}_{section.value}"
+def _empty_section(_sc, _ctx):
+    return
+    yield  # pragma: no cover - keeps this a generator
 
+
+# -- per-procedure cache ------------------------------------------------------
 
 class CompiledProcedure:
-    """The compiled sections (or interpreter fallbacks) of one procedure."""
+    """The compiled sections of one procedure, built on demand: the
+    untraced form of every section at first use, a traced form the
+    first time a traced softcore runs it."""
 
-    __slots__ = ("entry", "sections", "sources", "declined", "wcet")
+    __slots__ = ("entry", "sig", "_softcore", "_sections", "_wcet")
 
-    def __init__(self, entry: ProcedureEntry,
-                 sections: Dict[Section, Optional[Callable]],
-                 sources: Dict[Section, str],
-                 declined: Dict[Section, str],
-                 wcet: Optional[WcetReport]):
+    def __init__(self, softcore, entry: ProcedureEntry, sig: tuple):
         self.entry = entry
-        self.sections = sections
-        self.sources = sources
-        self.declined = declined
-        self.wcet = wcet
+        self.sig = sig
+        self._softcore = softcore
+        self._sections: Dict[tuple, Callable] = {}
+        self._wcet = None
+        for section in Section:
+            self.section(section)
+
+    def section(self, section: Section, traced: bool = False) -> Callable:
+        """``fn(softcore, ctx)`` returning the section's generator."""
+        key = (section, traced)
+        fn = self._sections.get(key)
+        if fn is None:
+            fn = _SectionCompiler(self._softcore, self.entry, section,
+                                  traced).compile()
+            self._sections[key] = fn
+        return fn
 
     @property
-    def fully_compiled(self) -> bool:
-        return not self.declined
-
-
-def compile_procedure(softcore, entry: ProcedureEntry) -> CompiledProcedure:
-    """Compile every section of ``entry``; declined sections fall back."""
-    sections: Dict[Section, Optional[Callable]] = {}
-    sources: Dict[Section, str] = {}
-    declined: Dict[Section, str] = {}
-    for section in Section:
-        try:
-            fn, src = _SectionCompiler(softcore, entry, section).compile()
-            sections[section] = fn
-            sources[section] = src
-        except CompileDeclined as exc:
-            sections[section] = None
-            declined[section] = str(exc)
-    try:
-        model = WcetModel.from_config(
-            softcore.config,
-            dram_latency_cycles=softcore.dram.latency_ns
-            / softcore.clock.ns_per_cycle,
-            fpga_mhz=1000.0 / softcore.clock.ns_per_cycle)
-        wcet = analyze_wcet(entry.program, model=model)
-    except Exception:  # pragma: no cover - analysis never gates execution
-        wcet = None
-    return CompiledProcedure(entry, sections, sources, declined, wcet)
+    def wcet(self):
+        """The procedure's static WCET report
+        (:class:`repro.analysis.wcet.WcetReport`), computed on first
+        read: nothing on the execution path needs it."""
+        if self._wcet is None:
+            from ..analysis.wcet import WcetModel, analyze_wcet
+            sc = self._softcore
+            try:
+                model = WcetModel.from_config(
+                    sc.config,
+                    dram_latency_cycles=sc.dram.latency_ns
+                    / sc.clock.ns_per_cycle,
+                    fpga_mhz=1000.0 / sc.clock.ns_per_cycle)
+                self._wcet = analyze_wcet(self.entry.program, model=model)
+            except Exception:  # pragma: no cover - never gates execution
+                self._wcet = False
+        return self._wcet or None
 
 
 class CompiledTier:
@@ -592,12 +798,12 @@ class CompiledTier:
 
     Generated functions take ``(softcore, ctx)`` and bind no per-core
     state, and every worker of a machine shares one catalogue and one
-    timing config — so the cache hangs off the catalogue and all
+    timing config, so the cache hangs off the catalogue and all
     softcores reuse one compilation.  The catalogue allows
     re-registration, so entries are validated by identity (replacing a
-    procedure invalidates its compiled form); a timing signature guards
-    the off-design case of softcores with different configs sharing a
-    catalogue."""
+    procedure invalidates its compiled form); a signature of everything
+    the generated code specialises on guards softcores with different
+    configs sharing a catalogue."""
 
     def __init__(self, softcore):
         self.softcore = softcore
@@ -605,39 +811,40 @@ class CompiledTier:
         self._sig = (cfg.cpu_inst_cycles, cfg.ret_cycles,
                      cfg.db_prepare_cycles, cfg.db_dispatch_cycles,
                      cfg.wrfield_cycles, cfg.commit_cycles_per_entry,
-                     cfg.line_buffer, softcore.clock.ns_per_cycle)
+                     cfg.line_buffer,
+                     cfg.dynamic_scheduling and cfg.interleaving,
+                     softcore.clock.ns_per_cycle)
         cat = softcore.catalogue
         cache = getattr(cat, "_compiled_procs", None)
         if cache is None:
             cache = cat._compiled_procs = {}
-        self._cache: Dict[int, tuple] = cache
-
-    def section_fn(self, entry: ProcedureEntry,
-                   section: Section) -> Optional[Callable]:
-        hit = self._cache.get(entry.proc_id)
-        if hit is None or hit[0] is not entry or hit[1] != self._sig:
-            cp = compile_procedure(self.softcore, entry)
-            self._cache[entry.proc_id] = (entry, self._sig, cp)
-        else:
-            cp = hit[2]
-        return cp.sections.get(section)
+        self._cache: Dict[int, CompiledProcedure] = cache
 
     def compiled(self, entry: ProcedureEntry) -> CompiledProcedure:
-        """The (cached) compiled form of ``entry`` — tests/introspection."""
-        self.section_fn(entry, Section.LOGIC)
-        return self._cache[entry.proc_id][2]
+        """The (cached) compiled form of ``entry``."""
+        cp = self._cache.get(entry.proc_id)
+        if cp is None or cp.entry is not entry or cp.sig != self._sig:
+            cp = CompiledProcedure(self.softcore, entry, self._sig)
+            self._cache[entry.proc_id] = cp
+        return cp
+
+    def section_fn(self, entry: ProcedureEntry, section: Section) -> Callable:
+        return self.compiled(entry).section(section,
+                                            self.softcore.tracer.enabled)
 
     def report(self) -> List[dict]:
         """Per-procedure summary (docs / debugging)."""
         out = []
-        for proc_id, (_entry, _sig, cp) in sorted(self._cache.items()):
+        for proc_id, cp in sorted(self._cache.items()):
+            wcet = cp.wcet
             out.append({
                 "proc_id": proc_id,
                 "program": cp.entry.program.name,
-                "compiled_sections": [s.value for s, f in cp.sections.items()
-                                      if f is not None],
-                "declined": {s.value: why for s, why in cp.declined.items()},
-                "wcet_cycles": (round(cp.wcet.total_cycles, 3)
-                                if cp.wcet is not None else None),
+                "compiled_sections": [s.value for s in Section],
+                # every section compiles; the key keeps the report's
+                # shape
+                "declined": {},
+                "wcet_cycles": (round(wcet.total_cycles, 3)
+                                if wcet is not None else None),
             })
         return out

@@ -10,9 +10,9 @@ log mirror used by the abort handler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional
 
-from ..isa.instructions import Opcode, Section
+from ..isa.instructions import Opcode
 from ..mem.txnblock import TransactionBlock, UndoEntry
 from ..sim.engine import Event
 from .catalogue import ProcedureEntry
@@ -20,8 +20,7 @@ from .catalogue import ProcedureEntry
 __all__ = ["TxnContext", "WriteSetEntry"]
 
 
-@dataclass(frozen=True)
-class WriteSetEntry:
+class WriteSetEntry(NamedTuple):
     op: Opcode
     table_id: int
     tuple_addr: int
@@ -34,17 +33,17 @@ class TxnContext:
     begin_ts: int
     gp_base: int
     cp_base: int
-    # interpreter state
-    pc: int = 0
-    section: Section = Section.LOGIC
+    # condition flags set by CMP
     zero: bool = False
     neg: bool = False
     failed: bool = False
     fail_reason: Optional[str] = None
     finished_logic: bool = False
     # dynamic scheduling (§4.5 future work): CP register whose pending
-    # result blocked this transaction's logic, or None
+    # result blocked this transaction's logic, or None, and the logic
+    # section's suspended generator
     blocked_on: Optional[int] = None
+    logic_run: Any = None
     # working-set buffer: transaction-block inputs staged into BRAM at
     # ingestion (Figure 2 shows this buffer inside the softcore)
     working_set: List[Any] = field(default_factory=list)

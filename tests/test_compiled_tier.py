@@ -1,13 +1,11 @@
-"""Tests for the compiled execution tier and the paper-scale sweep runner.
+"""Tests for the compiled procedures and the paper-scale sweep runner.
 
-The tier's contract (see ``repro.softcore.compiled`` and
-``repro.index.hash.compiled``) is enforced here at unit-suite speed:
-bit-identical ``now_ns``/commit/abort/commit-hash against the
-checked-in goldens, a strictly smaller event count (only no-op
-firings are dropped), interpreter fallback whenever tracing is on or
-the specializer declines a section, and a bulk-load fast path whose
-heap image is cell-for-cell identical to per-row loading and which
-leaves the caller's GC state as it found it.
+Every section runs compiled (see ``repro.softcore.compiled``), held to
+the checked-in golden fingerprints; tracing compiles trace emission in
+and changes no timing; the per-catalogue cache and lazy WCET report
+work; the bulk-load fast path builds a heap image cell-for-cell
+identical to per-row loading and leaves the caller's GC state as it
+found it.
 """
 
 import gc
@@ -17,122 +15,141 @@ import random
 import pytest
 
 from repro.core import BionicConfig, BionicDB
-from repro.isa.builder import ProcedureBuilder
 from repro.mem import IndexKind, TableSchema
 from repro.perf import (
-    COMPILED_KEYS,
     GOLDEN_SMOKE,
     POINTS,
     SCENARIOS,
-    bptree_scenario,
-    compiled_view,
     equivalence_failures,
     run_equivalence,
     run_point,
     run_sweep,
-    tpcc_scenario,
-    ycsb_scenario,
 )
 from repro.perf.__main__ import main
+from repro.perf.equivalence import _fingerprint
 from repro.perf.sweep import _merge_into, _point_seed, sweep_main
 from repro.sim.trace import Tracer
-from repro.softcore import SoftcoreConfig
-from repro.softcore.compiled import CompiledTier, compile_procedure
+from repro.softcore.compiled import CHUNK_INSTRUCTIONS, CompiledTier
+from repro.isa import Gp, ProcedureBuilder, Section
 from repro.workloads import (
     TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
 )
 from repro.workloads.ycsb import YCSB_TABLE
 
-COMPILED = SoftcoreConfig(compiled=True)
 
-_SCENARIO_FNS = {
-    "ycsb_smoke": ycsb_scenario,
-    "tpcc_smoke": tpcc_scenario,
-    "bptree_range_smoke": bptree_scenario,
-}
-
-
-# -- compiled tier vs the checked-in goldens ---------------------------------
+# -- compiled procedures vs the checked-in goldens ----------------------------
 
 @pytest.mark.parametrize("name", list(GOLDEN_SMOKE))
 def test_compiled_tier_matches_goldens(name):
-    fp = _SCENARIO_FNS[name](None, 1, COMPILED)
-    assert compiled_view(fp) == compiled_view(GOLDEN_SMOKE[name]), name
-    # the compiled hash pipeline drops only no-op firings, so the event
-    # count must shrink (never grow, never stay equal on these mixes)
-    assert fp["events_fired"] < GOLDEN_SMOKE[name]["events_fired"], name
+    assert SCENARIOS[name]() == GOLDEN_SMOKE[name], name
 
 
 def test_run_equivalence_includes_compiled_tier():
     results = run_equivalence(scale=1, scenarios=["ycsb_smoke"])
     entry = results["ycsb_smoke"]
-    assert entry["compiled_match"]
-    assert compiled_view(entry["compiled"]) == compiled_view(entry["fast"])
+    assert entry["golden_match"]
+    assert entry["fingerprint"] == GOLDEN_SMOKE["ycsb_smoke"]
 
 
 def test_equivalence_failures_reports_compiled_divergence():
     results = run_equivalence(scale=1, scenarios=["ycsb_smoke"])
-    broken = dict(results)
-    entry = dict(broken["ycsb_smoke"])
-    entry["compiled_match"] = False
-    broken["ycsb_smoke"] = entry
-    messages = equivalence_failures(broken)
+    entry = dict(results["ycsb_smoke"])
+    entry["fingerprint"] = dict(entry["fingerprint"], now_ns=1.0)
+    entry["golden_match"] = False
+    messages = equivalence_failures({"ycsb_smoke": entry})
     assert len(messages) == 1
-    assert "compiled tier" in messages[0]
+    assert "golden" in messages[0] and "now_ns': 1.0" in messages[0]
 
 
-# -- fallback ----------------------------------------------------------------
+# -- tracing -----------------------------------------------------------------
 
-def _tiny_ycsb(softcore=None, tracer=None):
+def _tiny_ycsb(tracer=None):
     wl = YcsbWorkload(YcsbConfig(records_per_partition=200, n_partitions=2,
                                  reads_per_txn=2, seed=5))
-    db = BionicDB(BionicConfig(n_workers=2, tracer=tracer,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2, tracer=tracer))
     wl.install(db)
-    specs = wl.make_read_txns(6) + wl.make_rmw_txns(3)
-    report, blocks = wl.submit_all(db, specs)
-    from repro.perf.equivalence import _fingerprint
+    report, blocks = wl.submit_all(db, wl.make_read_txns(6)
+                                   + wl.make_rmw_txns(3))
     return db, _fingerprint(db, report, blocks)
 
 
-def test_tracer_forces_interpreter_with_identical_timing():
-    _db, interp = _tiny_ycsb()
-    _db, compiled = _tiny_ycsb(softcore=COMPILED)
-    tracer = Tracer(categories={"softcore"})
-    _db, traced = _tiny_ycsb(softcore=COMPILED, tracer=tracer)
-    # per-instruction trace lines only exist in the interpreter, so
-    # their presence proves the fallback actually ran
-    assert tracer.events, "tracing under compiled=True emitted no lines"
-    assert compiled_view(traced) == compiled_view(interp)
-    assert compiled_view(compiled) == compiled_view(interp)
+def _tiny_tpcc(tracer=None):
+    wl = TpccWorkload(TpccConfig(n_partitions=2, customers_per_district=20,
+                                 items=100, seed=3))
+    db = BionicDB(BionicConfig(n_workers=2, tracer=tracer))
+    wl.install(db)
+    report, blocks = wl.submit_all(db, wl.make_mix(8), retry=True)
+    return db, _fingerprint(db, report, blocks)
 
+
+@pytest.mark.parametrize("smoke", [_tiny_ycsb, _tiny_tpcc],
+                         ids=["ycsb", "tpcc"])
+def test_tracing_changes_no_timing(smoke):
+    _db, plain = smoke()
+    tracer = Tracer(capacity=1_000_000)
+    db, traced = smoke(tracer=tracer)
+    assert traced == plain          # events_fired included
+    executed = sum(db.stats.counter(f"worker{w}.instructions").value
+                   for w in range(db.config.n_workers))
+    assert executed > 0
+    assert len(tracer.filter("softcore")) == executed
+    assert not tracer.dropped
+
+
+# -- the per-catalogue cache -------------------------------------------------
 
 def test_compiled_tier_caches_per_catalogue():
-    db = BionicDB(BionicConfig(n_workers=2, softcore=COMPILED))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl = YcsbWorkload(YcsbConfig(records_per_partition=100, n_partitions=2,
                                  reads_per_txn=2, seed=3))
     wl.install(db)
-    tiers = [w.softcore._compiled for w in db.workers]
+    tiers = [w.softcore._tier for w in db.workers]
     assert all(isinstance(t, CompiledTier) for t in tiers)
     from repro.workloads.ycsb import PROC_READ_BASE
-    cp = tiers[0].compiled(db.catalogue.lookup(PROC_READ_BASE + 2))
-    assert cp.fully_compiled, cp.declined
+    entry = db.catalogue.lookup(PROC_READ_BASE + 2)
+    cp = tiers[0].compiled(entry)
+    assert all(cp.section(s) is not None for s in Section)
     # every worker shares the catalogue-level cache: compiling on one
     # softcore makes the form visible to all
     assert tiers[0]._cache is tiers[1]._cache
+    assert tiers[1].compiled(entry) is cp
 
 
-def test_specializer_declines_unknown_table():
-    db = BionicDB(BionicConfig(n_workers=1, softcore=COMPILED))
-    b = ProcedureBuilder("touches_missing_table")
-    b.search(cp=0, table=999, key=b.at(0))
+def test_wcet_is_computed_on_first_read():
+    db = BionicDB(BionicConfig(n_workers=1))
+    TpccWorkload(TpccConfig(n_partitions=1, customers_per_district=20,
+                            items=50)).install(db)
+    tier = db.workers[0].softcore._tier
+    entries = [db.catalogue.lookup(pid) for pid in sorted(
+        db.catalogue._procs)]
+    forms = [tier.compiled(e) for e in entries]
+    assert all(f._wcet is None for f in forms)
+    report = tier.report()
+    assert [r["proc_id"] for r in report] == [e.proc_id for e in entries]
+    for row, form in zip(report, forms):
+        assert set(row) == {"proc_id", "program", "compiled_sections",
+                            "declined", "wcet_cycles"}
+        assert row["compiled_sections"] == ["logic", "commit", "abort"]
+        assert row["wcet_cycles"] == round(form.wcet.total_cycles, 3) > 0
+
+
+def test_long_sections_compile_in_bounded_chunks():
+    db = BionicDB(BionicConfig(n_workers=1))
+    db.define_table(TableSchema(0, "kv", hash_buckets=64))
+    b = ProcedureBuilder("long")
+    for i in range(5 * CHUNK_INSTRUCTIONS):
+        b.add(i % 8, Gp(i % 8), 1)
+    b.store(Gp(7), b.at(0))
     b.commit_handler()
     b.commit()
-    db.register_procedure(7, b.build(), verify=False)
-    sc = db.workers[0].softcore
-    cp = compile_procedure(sc, db.catalogue.lookup(7))
-    assert not cp.fully_compiled
-    assert any("unknown table" in why for why in cp.declined.values())
+    db.register_procedure(1, b.build())
+    block = db.new_block(1, [None])
+    db.submit(block, 0)
+    db.run()
+    assert block.input_cell(0) == 5 * CHUNK_INSTRUCTIONS // 8
+    form = db.workers[0].softcore._tier.compiled(db.catalogue.lookup(1))
+    # a section of several chunks is driven, not one generated function
+    assert form.section(Section.LOGIC).__name__ == "run_section"
 
 
 # -- bulk-load fast path -----------------------------------------------------
@@ -306,13 +323,20 @@ def test_large_load_settles_deferred_gc_work_in_one_full_pass(gc_state):
 TINY_POINTS = {
     "tiny_ycsb": {
         "workload": "ycsb", "n_workers": 2, "records_per_partition": 200,
-        "reads_per_txn": 2, "n_txns": 8, "compiled": True,
+        "reads_per_txn": 2, "n_txns": 8,
     },
-    "tiny_ycsb_interp": {
+    "tiny_ycsb_more": {
         "workload": "ycsb", "n_workers": 2, "records_per_partition": 200,
-        "reads_per_txn": 2, "n_txns": 8, "compiled": False,
-        "seed_name": "tiny_ycsb",
+        "reads_per_txn": 2, "n_txns": 12,
     },
+}
+
+#: run_point("tiny_ycsb"): the point's seed, fingerprint and throughput
+TINY_YCSB_GOLDEN = {
+    "seed": 761506, "events_fired": 562, "now_ns": 8024.0, "committed": 8,
+    "aborted": 0, "throughput_tps": 997008.9730807578,
+    "commit_hash":
+        "2f7039d6e19f691e5e46d398dc9f506db262b7c4c408f4141ed112860cbbc374",
 }
 
 
@@ -327,19 +351,11 @@ def test_point_seed_is_stable():
     assert 0 <= _point_seed("anything") < 1_000_000
 
 
-def test_registry_twins_share_a_seed():
-    assert POINTS["ycsb_paper_300k_interp"]["seed_name"] == "ycsb_paper_300k"
-
-
-def test_run_point_fingerprints_both_tiers_identically(monkeypatch):
+def test_run_point_matches_golden(monkeypatch):
     _install_tiny_points(monkeypatch)
-    compiled = run_point("tiny_ycsb")
-    interp = run_point("tiny_ycsb_interp")
-    assert compiled["seed"] == interp["seed"]
-    for key in COMPILED_KEYS:
-        assert compiled[key] == interp[key], key
-    assert compiled["throughput_tps"] == interp["throughput_tps"]
-    assert compiled["host_seconds"] > 0
+    result = run_point("tiny_ycsb")
+    assert {k: result[k] for k in TINY_YCSB_GOLDEN} == TINY_YCSB_GOLDEN
+    assert result["host_seconds"] > 0
 
 
 def test_run_sweep_rejects_unknown_points():
@@ -349,8 +365,8 @@ def test_run_sweep_rejects_unknown_points():
 
 def test_run_sweep_serial_keeps_registry_order(monkeypatch):
     _install_tiny_points(monkeypatch)
-    results = run_sweep(["tiny_ycsb_interp", "tiny_ycsb"], jobs=1)
-    assert list(results) == ["tiny_ycsb_interp", "tiny_ycsb"]
+    results = run_sweep(["tiny_ycsb_more", "tiny_ycsb"], jobs=1)
+    assert list(results) == ["tiny_ycsb_more", "tiny_ycsb"]
     assert results["tiny_ycsb"]["point"] == "tiny_ycsb"
 
 
@@ -376,18 +392,18 @@ def test_sweep_main_list_exits_clean(capsys):
         assert name in printed
 
 
-def test_sweep_main_records_tier_speedups(monkeypatch, tmp_path, capsys):
+def test_sweep_main_merges_points(monkeypatch, tmp_path, capsys):
     _install_tiny_points(monkeypatch)
     out = tmp_path / "bench.json"
     # jobs=1: the monkeypatched registry does not exist in pool workers
-    rc = sweep_main(["--points", "tiny_ycsb,tiny_ycsb_interp",
+    rc = sweep_main(["--points", "tiny_ycsb,tiny_ycsb_more",
                      "--jobs", "1", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     entry = data["sweep"]["tiny_ycsb"]
-    assert entry["speedup_vs_interpreted"] > 0
-    assert entry["run_speedup_vs_interpreted"] > 0
-    assert entry["commit_hash"] == data["sweep"]["tiny_ycsb_interp"]["commit_hash"]
+    assert entry["commit_hash"] == TINY_YCSB_GOLDEN["commit_hash"]
+    assert entry["run_host_seconds"] > 0
+    assert data["sweep"]["tiny_ycsb_more"]["committed"] == 12
 
 
 # -- CLI filters -------------------------------------------------------------

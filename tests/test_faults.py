@@ -603,3 +603,22 @@ class TestRecoveryDrill:
             ["single-node", "cluster", "overload"]
         assert all("2 ok, 0 failed" in line for line in totals)
         assert sum(line.startswith("  flavours: ") for line in lines) == 3
+
+    @pytest.mark.parametrize("argv, n_txns", [
+        (["--txns", "10"], 10),
+        ([], 18),                     # the cluster drill's own default
+    ])
+    def test_cli_txns_reaches_the_cluster_suite(self, monkeypatch, capsys,
+                                                argv, n_txns):
+        from repro.faults import cluster_drill
+        from repro.faults.drill import main
+        built = []
+
+        class RecordingDrill(cluster_drill.ClusterDrill):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(cluster_drill, "ClusterDrill", RecordingDrill)
+        assert main(["--seeds", "1", "--suite", "cluster"] + argv) == 0
+        assert [c.n_txns for c in built] == [n_txns]

@@ -1,8 +1,9 @@
-"""Tests for the repro.perf harness: cycle-equivalence and the CLI.
+"""Tests for the repro.perf harness: golden fingerprints and the CLI.
 
-The heavy guarantee — that the hot-path engine rewrite moved no
+The heavy guarantee — that host-side performance work moved no
 simulated event — is enforced here in-tree, so a timing regression in
-``repro.sim.engine`` fails the unit suite, not just the perf job.
+the engine, the softcore or a pipeline fails the unit suite, not just
+the perf job.
 """
 
 import json
@@ -11,85 +12,60 @@ import pytest
 
 from repro.perf import (
     GOLDEN_SMOKE,
-    ReferenceEngine,
+    calibration_loop,
     equivalence_failures,
     run_equivalence,
     tpcc_scenario,
     ycsb_scenario,
 )
 from repro.perf.__main__ import check_regressions, main
-from repro.sim import Engine
 
 
-# -- cycle-equivalence -------------------------------------------------------
+# -- golden fingerprints -----------------------------------------------------
 
-def test_fast_engine_matches_golden_and_reference():
+def test_scenarios_match_goldens():
     results = run_equivalence(scale=1)
     assert equivalence_failures(results) == []
     for name, entry in results.items():
-        assert entry["match"], name
         assert entry["golden_match"], name
+        assert entry["fingerprint"] == GOLDEN_SMOKE[name], name
 
 
 def test_golden_constants_are_pinned():
     # the checked-in anchors themselves must not drift silently
-    assert GOLDEN_SMOKE["ycsb_smoke"]["events_fired"] == 18477
+    assert GOLDEN_SMOKE["ycsb_smoke"]["events_fired"] == 15384
     assert GOLDEN_SMOKE["ycsb_smoke"]["now_ns"] == 187368.0
-    assert GOLDEN_SMOKE["tpcc_smoke"]["events_fired"] == 40334
+    assert GOLDEN_SMOKE["tpcc_smoke"]["events_fired"] == 33611
     assert GOLDEN_SMOKE["tpcc_smoke"]["now_ns"] == 530656.0
 
 
 def test_scenarios_are_deterministic_across_runs():
     assert ycsb_scenario() == ycsb_scenario()
-    assert tpcc_scenario(ReferenceEngine) == tpcc_scenario(ReferenceEngine)
+    assert tpcc_scenario() == tpcc_scenario()
 
 
 def test_equivalence_failures_reports_divergence():
     results = run_equivalence(scale=1)
     broken = dict(results)
     entry = dict(broken["ycsb_smoke"])
-    entry["match"] = False
+    entry["golden_match"] = False
     broken["ycsb_smoke"] = entry
     messages = equivalence_failures(broken)
     assert len(messages) == 1
     assert "ycsb_smoke" in messages[0]
 
 
-# -- the reference engine is a faithful simulator in its own right -----------
-
-def test_reference_engine_runs_basic_processes():
-    eng = ReferenceEngine()
-    log = []
-
-    def proc():
-        yield 10
-        log.append(eng.now)
-        value = yield eng.timeout(5, value="v")
-        log.append((eng.now, value))
-
-    eng.process(proc())
-    eng.run()
-    assert log == [10, (15, "v")]
-
-
-def test_reference_engine_counts_like_fast_engine():
-    def workload(eng):
-        def proc():
-            for _ in range(10):
-                yield 1
-        eng.process(proc())
-        eng.run()
-        return eng.events_fired, eng.now
-
-    assert workload(Engine()) == workload(ReferenceEngine())
+def test_calibration_loop_times_itself():
+    sample = calibration_loop(2_000)
+    assert sample["seconds"] > 0
 
 
 # -- regression checker ------------------------------------------------------
 
 def _results(events=2.0, ycsb=1.5):
     return {
-        "microbench": {"events": {"speedup_vs_reference": events}},
-        "simspeed": {"ycsb_smoke": {"speedup_vs_reference": ycsb}},
+        "microbench": {"events": {"ratio_vs_calibration": events}},
+        "simspeed": {"ycsb_smoke": {"ratio_vs_calibration": ycsb}},
     }
 
 
@@ -113,18 +89,18 @@ def test_check_regressions_flags_missing_key():
 
 @pytest.mark.slow
 def test_cli_smoke_writes_bench_json(tmp_path):
-    # each speedup is the median of 5 interleaved pairs: on a shared
-    # host one or two pairs are one CPU hiccup away from tripping the
-    # 25% self-check floor when the suite has been loading the machine
-    # for minutes
+    # each ratio is the median of 5 pairs interleaved with the
+    # calibration loop: on a shared host one or two pairs are one CPU
+    # hiccup away from tripping the 25% self-check floor when the suite
+    # has been loading the machine for minutes
     out = tmp_path / "bench.json"
     assert main(["--smoke", "--out", str(out), "--repeats", "5"]) == 0
     results = json.loads(out.read_text())
-    assert results["schema"] == "repro.perf/v2"
+    assert results["schema"] == "repro.perf/v3"
     assert results["mode"] == "smoke"
     for section in ("equivalence", "microbench", "simspeed"):
         assert section in results
-    assert results["microbench"]["events"]["speedup_vs_reference"] > 0
+    assert results["microbench"]["events"]["ratio_vs_calibration"] > 0
     assert "fig09_ycsb_smoke" in results["simspeed"]
     # the written file must be usable as its own regression baseline
     assert main(["--smoke", "--out", str(tmp_path / "second.json"),
